@@ -8,6 +8,16 @@ time.  The interpreter is a generator (like every machine program):
 ``yield`` s are simulator requests, the return value is the processor's
 final local value (a :class:`~repro.plan.ir.Scalar` for reductions).
 
+There is exactly one instruction walk (:func:`run_plan`).  How an
+``Exchange``, ``Rotate`` or ``Collective`` moves bytes is delegated to a
+*transport* — an object with three generator methods, ``rotate``,
+``exchange`` and ``collective`` — so the same walk runs over the raw
+network (:data:`RAW`, this module), over the acked, retransmitting
+channel of :mod:`repro.faults.plan_exec`, and, for collectives, inside
+the request scripter of :mod:`repro.plan.vexec`.  This is the paper's
+separation of a skeleton program from the communication mechanism
+underneath it.
+
 Group instructions maintain the same value discipline as the old
 tree-walking compiler: ``GroupSplit`` wraps the local value in a
 :class:`Grouped` frame carrying the subgroup communicator, ``SubPlan``
@@ -27,7 +37,8 @@ from repro.machine.cost import estimate_nbytes
 from repro.machine.simulator import ProcEnv
 from repro.plan import ir
 
-__all__ = ["execute_plan", "Grouped", "EXCHANGE_TAG"]
+__all__ = ["execute_plan", "run_plan", "RawTransport", "RAW", "Grouped",
+           "EXCHANGE_TAG"]
 
 #: Tag of all point-to-point plan traffic (rotate / exchange tables).
 EXCHANGE_TAG = tags.reserve("plan", "exchange", 0)
@@ -46,56 +57,53 @@ class Grouped:
 def execute_plan(plan: ir.Plan, env: ProcEnv, comm: Comm, local: Any,
                  default: float = ir.DEFAULT_FRAGMENT_OPS,
                  label: str = "plan"):
-    """Run ``plan`` on this processor; returns the new local value.
+    """Run ``plan`` on this processor over the raw network; the
+    generator returns the new local value (see :func:`run_plan`)."""
+    return run_plan(plan, env, comm, RAW, local, default, label)
+
+
+def run_plan(plan: ir.Plan, env: ProcEnv, comm: Comm, transport: Any,
+             local: Any, default: float = ir.DEFAULT_FRAGMENT_OPS,
+             label: str = "plan"):
+    """The generator running ``plan`` on this processor with traffic on
+    ``transport``; drive it with ``yield from``.
 
     On a traced machine every simulator request executes inside a span
     stack ``label → [i] instruction → iter k → …`` (see
     :mod:`repro.machine.trace`), so each trace event is attributed to the
-    plan instruction that produced it.  Untraced runs take the original
-    span-free path — tracing off costs nothing.
+    plan instruction that produced it.  Untraced runs never build a span
+    title or enter a span scope — tracing off costs nothing.  (Returning
+    the walk's generator, rather than delegating to it, keeps one frame
+    off every request's resume path.)
     """
     if env.tracing:
-        with env.span(label):
-            return (yield from _run_seq_spanned(plan.instrs, plan, env, comm,
-                                                local, default))
-    return (yield from _run_seq(plan.instrs, plan, env, comm, local, default))
+        return _run_labelled(plan, env, comm, transport, local, default,
+                             label)
+    return _run_seq(plan.instrs, plan, env, comm, transport, local, default)
 
 
-def _run_seq(instrs, plan: ir.Plan, env: ProcEnv, comm: Comm, local: Any,
-             default: float):
-    for instr in instrs:
-        local = yield from _step(instr, plan, env, comm, local, default)
-    return local
+def _run_labelled(plan: ir.Plan, env: ProcEnv, comm: Comm, tp: Any,
+                  local: Any, default: float, label: str):
+    with env.span(label):
+        return (yield from _run_seq(plan.instrs, plan, env, comm, tp, local,
+                                    default))
 
 
-def _run_seq_spanned(instrs, plan: ir.Plan, env: ProcEnv, comm: Comm,
-                     local: Any, default: float):
+def _run_seq(instrs, plan: ir.Plan, env: ProcEnv, comm: Comm, tp: Any,
+             local: Any, default: float):
+    if not env.tracing:
+        for instr in instrs:
+            local = yield from _step(instr, plan, env, comm, tp, local,
+                                     default)
+        return local
     for i, instr in enumerate(instrs):
         with env.span(ir.instr_title(instr), instr=i):
-            local = yield from _step_spanned(instr, plan, env, comm, local,
-                                             default)
+            local = yield from _step(instr, plan, env, comm, tp, local,
+                                     default)
     return local
 
 
-def _step_spanned(instr: ir.Instr, plan: ir.Plan, env: ProcEnv, comm: Comm,
-                  local: Any, default: float):
-    """Like :func:`_step`, but loop iterations and nested plans keep
-    pushing span frames (all leaf instructions delegate to ``_step``)."""
-    if isinstance(instr, ir.Loop):
-        for it, body in enumerate(instr.bodies):
-            with env.span(f"iter {it}", iteration=it):
-                local = yield from _run_seq_spanned(body, plan, env, comm,
-                                                    local, default)
-        return local
-    if isinstance(instr, ir.SubPlan):
-        subplan = instr.plans[local.gid]
-        inner = yield from _run_seq_spanned(subplan.instrs, subplan, env,
-                                            local.comm, local.local, default)
-        return Grouped(local.comm, local.parent, inner, local.gid)
-    return (yield from _step(instr, plan, env, comm, local, default))
-
-
-def _step(instr: ir.Instr, plan: ir.Plan, env: ProcEnv, comm: Comm,
+def _step(instr: ir.Instr, plan: ir.Plan, env: ProcEnv, comm: Comm, tp: Any,
           local: Any, default: float):
     if isinstance(instr, ir.LocalApply):
         if isinstance(instr.fn, ir.FusedKernel):
@@ -116,14 +124,59 @@ def _step(instr: ir.Instr, plan: ir.Plan, env: ProcEnv, comm: Comm,
         return instr.fn(local)
 
     if isinstance(instr, ir.Rotate):
+        return (yield from tp.rotate(env, comm, local, instr.k))
+
+    if isinstance(instr, ir.Exchange):
+        return (yield from tp.exchange(env, comm, instr, local))
+
+    if isinstance(instr, ir.Collective):
+        return (yield from tp.collective(env, comm, instr, local, default))
+
+    if isinstance(instr, ir.GroupSplit):
+        gid = instr.group_of[comm.rank]
+        sub = comm.subgroup(list(instr.groups[gid]))
+        return Grouped(sub, comm, local, gid)
+
+    if isinstance(instr, ir.SubPlan):
+        subplan = instr.plans[local.gid]
+        inner = yield from _run_seq(subplan.instrs, subplan, env, local.comm,
+                                    tp, local.local, default)
+        return Grouped(local.comm, local.parent, inner, local.gid)
+
+    if isinstance(instr, ir.GroupCombine):
+        return local.local
+
+    if isinstance(instr, ir.Loop):
+        if not env.tracing:
+            for body in instr.bodies:
+                local = yield from _run_seq(body, plan, env, comm, tp, local,
+                                            default)
+            return local
+        for it, body in enumerate(instr.bodies):
+            with env.span(f"iter {it}", iteration=it):
+                local = yield from _run_seq(body, plan, env, comm, tp, local,
+                                            default)
+        return local
+
+    raise AssertionError(f"unknown plan instruction {instr!r}")
+
+
+class RawTransport:
+    """Plan traffic straight onto :class:`~repro.machine.api.Comm` — the
+    fault-free network.  Stateless; use the :data:`RAW` instance."""
+
+    def rotate(self, env: ProcEnv, comm: Comm, local: Any, k: int):
+        """Send ``local`` k ranks down, receive from k ranks up."""
         p = comm.size
-        k = instr.k
         yield comm.send((comm.rank - k) % p, local, tag=EXCHANGE_TAG,
                         nbytes=estimate_nbytes(local, env.spec.word_bytes))
         msg = yield comm.recv((comm.rank + k) % p, tag=EXCHANGE_TAG)
         return msg.payload
 
-    if isinstance(instr, ir.Exchange):
+    def exchange(self, env: ProcEnv, comm: Comm, instr: ir.Exchange,
+                 local: Any):
+        """Replay this rank's row of the exchange tables: all sends, then
+        the receives in table order."""
         r = comm.rank
         for dst in instr.sends[r]:
             yield comm.send(dst, local, tag=EXCHANGE_TAG,
@@ -148,29 +201,48 @@ def _step(instr: ir.Instr, plan: ir.Plan, env: ProcEnv, comm: Comm,
             return (local, fetched)
         return fetched
 
-    if isinstance(instr, ir.Collective):
-        return (yield from _collective(instr, env, comm, local, default))
+    def collective(self, env: Any, comm: Any, instr: ir.Collective,
+                   local: Any, default: float):
+        """Run the collective with the schedule ``instr.algo`` names.
 
-    if isinstance(instr, ir.GroupSplit):
-        gid = instr.group_of[comm.rank]
-        sub = comm.subgroup(list(instr.groups[gid]))
-        return Grouped(sub, comm, local, gid)
+        Reduction operators run synchronously inside the collectives'
+        generator frames, so their CPU cost cannot be yielded from here;
+        the message rounds carry the synchronisation cost (plan_cost
+        prices the combines analytically).  Only ``env.work`` and the
+        ``comm`` request factories are touched, which is what lets
+        :mod:`repro.plan.vexec` script this generator directly.
+        """
+        algo = instr.algo
+        if instr.kind == "fold":
+            if algo == "flat":
+                acc = yield from CX.flat_reduce(comm, local, instr.op)
+                acc = yield from CX.flat_bcast(comm, acc, root=0)
+            else:
+                acc = yield from C.reduce(comm, local, instr.op)
+                acc = yield from C.bcast(comm, acc, root=0)
+            return ir.Scalar(acc)
+        if instr.kind == "scan":
+            if algo == "ring":
+                return (yield from CX.chain_scan(comm, local, instr.op))
+            return (yield from C.scan(comm, local, instr.op))
+        if instr.kind == "bcast":
+            value = yield from _bcast_algo(
+                algo, comm, instr.value if comm.rank == 0 else None)
+            return (value, local)
+        if instr.kind == "apply_bcast":
+            if comm.rank == instr.root:
+                yield env.work(ir.fragment_ops(instr.op, local, default))
+                piece = instr.op(local)
+            else:
+                piece = None
+            piece = yield from _bcast_algo(algo, comm, piece,
+                                           root=instr.root)
+            return (piece, local)
+        raise AssertionError(f"unknown collective kind {instr.kind!r}")
 
-    if isinstance(instr, ir.SubPlan):
-        subplan = instr.plans[local.gid]
-        inner = yield from _run_seq(subplan.instrs, subplan, env, local.comm,
-                                    local.local, default)
-        return Grouped(local.comm, local.parent, inner, local.gid)
 
-    if isinstance(instr, ir.GroupCombine):
-        return local.local
-
-    if isinstance(instr, ir.Loop):
-        for body in instr.bodies:
-            local = yield from _run_seq(body, plan, env, comm, local, default)
-        return local
-
-    raise AssertionError(f"unknown plan instruction {instr!r}")
+#: The shared raw-network transport.
+RAW = RawTransport()
 
 
 def _bcast_algo(algo: str, comm: Comm, value: Any, root: int = 0):
@@ -182,37 +254,3 @@ def _bcast_algo(algo: str, comm: Comm, value: Any, root: int = 0):
     if algo == "ring":
         return CX.chain_bcast(comm, value, root=root)
     return C.bcast(comm, value, root=root)
-
-
-def _collective(instr: ir.Collective, env: ProcEnv, comm: Comm, local: Any,
-                default: float):
-    # Reduction operators run synchronously inside the collectives'
-    # generator frames, so their CPU cost cannot be yielded from here; the
-    # message rounds carry the synchronisation cost (plan_cost prices the
-    # combines analytically).
-    algo = instr.algo
-    if instr.kind == "fold":
-        if algo == "flat":
-            acc = yield from CX.flat_reduce(comm, local, instr.op)
-            acc = yield from CX.flat_bcast(comm, acc, root=0)
-        else:
-            acc = yield from C.reduce(comm, local, instr.op)
-            acc = yield from C.bcast(comm, acc, root=0)
-        return ir.Scalar(acc)
-    if instr.kind == "scan":
-        if algo == "ring":
-            return (yield from CX.chain_scan(comm, local, instr.op))
-        return (yield from C.scan(comm, local, instr.op))
-    if instr.kind == "bcast":
-        value = yield from _bcast_algo(
-            algo, comm, instr.value if comm.rank == 0 else None)
-        return (value, local)
-    if instr.kind == "apply_bcast":
-        if comm.rank == instr.root:
-            yield env.work(ir.fragment_ops(instr.op, local, default))
-            piece = instr.op(local)
-        else:
-            piece = None
-        piece = yield from _bcast_algo(algo, comm, piece, root=instr.root)
-        return (piece, local)
-    raise AssertionError(f"unknown collective kind {instr.kind!r}")

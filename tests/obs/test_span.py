@@ -110,19 +110,81 @@ class TestCompiledAttribution:
                  for e in res.trace.events(kind="compute")]
         assert paths == ["outer/inner", "outer", None]
 
-    def test_tracing_identical_virtual_results(self):
-        # span bookkeeping must not perturb the simulation itself
-        res_traced = traced_hyperquicksort(d=2)
-        p = 4
-        expr = hyperquicksort_expression(2)
+    def test_untraced_walk_builds_no_spans(self, monkeypatch):
+        # Tracing off must cost nothing: the plan walk may neither build
+        # an instruction title nor open a span scope, on either transport.
+        from repro.faults.models import FaultInjector, FaultSpec
+        from repro.faults.plan_exec import execute_plan_ft
+        from repro.machine.api import Comm
+        from repro.machine.reliable import ReliableChannel
+        from repro.machine.simulator import ProcEnv
+        from repro.plan import ir
+        from repro.plan.lower import lower
+
+        def boom(*args, **kwargs):
+            raise AssertionError("span machinery touched on an untraced run")
+
+        monkeypatch.setattr(ir, "instr_title", boom)
+        monkeypatch.setattr(ProcEnv, "span", boom)
+        d = 2
+        expr = hyperquicksort_expression(d)
+        values = np.random.default_rng(7).integers(0, 2**31, size=256)
+        blocks = parmap(seq_quicksort, partition(Block(1 << d), values))
+        out, _ = run_expression(expr, blocks,
+                                Machine(Hypercube(d), spec=AP1000), opt="off")
+        assert np.array_equal(np.concatenate(list(out)), np.sort(values))
+
+        plan = lower(expr, 1 << d)
+        locals_ = blocks.to_list()
+
+        def program(env):
+            chan = ReliableChannel(env)
+            result = yield from execute_plan_ft(plan, env, Comm.world(env),
+                                                chan, locals_[env.pid])
+            yield from chan.drain()
+            return result
+
+        lossy = Machine(Hypercube(d), spec=AP1000,
+                        faults=FaultInjector(FaultSpec(seed=5,
+                                                       drop_rate=0.05)))
+        res = lossy.run(program)
+        assert np.array_equal(np.concatenate(res.values), np.sort(values))
+
+    @pytest.mark.parametrize("interp", ["raw", "ft"])
+    def test_tracing_identical_virtual_results(self, interp):
+        # Tracing is a branch inside the one plan walk: span bookkeeping
+        # must not perturb the simulation — bit for bit, on both the raw
+        # and the reliable (lossy, seeded) transport.
+        from repro.faults.models import FaultInjector, FaultSpec
+        from repro.faults.plan_exec import run_expression_ft
+
+        d = 3
+        expr = hyperquicksort_expression(d)
         rng = np.random.default_rng(7)
-        values = rng.integers(0, 2**31, size=256).astype(np.int32)
-        blocks = parmap(seq_quicksort, partition(Block(p), values))
-        machine = Machine(Hypercube(2), spec=AP1000)
-        _out, res_plain = run_expression(expr, blocks, machine,
-                                         label="hyperquicksort")
-        assert res_plain.makespan == pytest.approx(res_traced.makespan)
+        values = rng.integers(0, 2**31, size=512).astype(np.int32)
+        blocks = parmap(seq_quicksort, partition(Block(1 << d), values))
+
+        def run(traced):
+            if interp == "raw":
+                machine = Machine(Hypercube(d), spec=AP1000,
+                                  record_trace=traced)
+                return run_expression(expr, blocks, machine,
+                                      label="hyperquicksort")
+            machine = Machine(Hypercube(d), spec=AP1000, record_trace=traced,
+                              faults=FaultInjector(FaultSpec(seed=5,
+                                                             drop_rate=0.02)))
+            return run_expression_ft(expr, blocks, machine,
+                                     label="hyperquicksort")
+
+        out_plain, res_plain = run(False)
+        out_traced, res_traced = run(True)
+        assert res_traced.trace is not None and res_plain.trace is None
+        assert out_plain == out_traced
+        assert res_plain.makespan == res_traced.makespan
         assert res_plain.total_messages == res_traced.total_messages
+        assert res_plain.stats == res_traced.stats
+        if interp == "ft":
+            assert res_plain.total_retransmits > 0
 
 
 class TestFaultTolerantAttribution:

@@ -13,21 +13,26 @@ import numpy as np
 import pytest
 
 from repro.core.pararray import ParArray
+from repro.core.partition import Block, Cyclic
 from repro.faults.models import FaultInjector, FaultSpec
 from repro.faults.plan_exec import run_expression_ft
 from repro.machine import AP1000, Hypercube, Machine
-from repro.machine.topology import FullyConnected
+from repro.machine.topology import FullyConnected, Mesh2D
 from repro.scl import (
     AlignFetch,
     Brdcast,
+    Combine,
     Fetch,
     Fold,
     IMap,
     IterFor,
     Map,
     Rotate,
+    RotateCol,
+    RotateRow,
     Scan,
     SendNode,
+    Split,
     compose_nodes,
 )
 from repro.scl.compile import run_expression
@@ -43,7 +48,19 @@ EXPRESSIONS = [
     Brdcast(42.0),
     compose_nodes(IMap(lambda i, x: x * (i + 1)), Rotate(-2)),
     IterFor(3, lambda i: Rotate(i + 1)),
+] + [
+    # group instructions: GroupSplit / SubPlan / GroupCombine, with the
+    # subgroup's traffic on the same channel (peers addressed by pid)
+    compose_nodes(Combine(), Map(inner), Split(pattern))
+    for inner in (Rotate(1), Scan(lambda a, b: a + b),
+                  Fold(lambda a, b: a + b))
+    for pattern in (Block(2), Cyclic(2))
 ]
+
+GRID = ParArray([[i * 4 + j for j in range(4)] for i in range(2)],
+                shape=(2, 4))
+GRID_EXPR = compose_nodes(RotateCol(lambda j: j + 1),
+                          RotateRow(lambda i: i + 1))
 
 
 def _faulty_machine(p: int, spec=None) -> Machine:
@@ -57,7 +74,7 @@ class TestFaultFree:
         want, _ = run_expression(expr, PA8, Machine(FullyConnected(8),
                                                     spec=AP1000))
         got, res = run_expression_ft(expr, PA8, _faulty_machine(8))
-        assert list(got) == list(want)
+        assert got == want
         assert res.total_retransmits == 0
 
     def test_fold_returns_the_scalar(self):
@@ -66,6 +83,17 @@ class TestFaultFree:
         got, _ = run_expression_ft(Fold(lambda a, b: a + b), PA8,
                                    _faulty_machine(8))
         assert got == want == sum(PA8.to_list())
+
+    @pytest.mark.parametrize("opt", ["auto", "off"])
+    def test_grid_rotations_match_the_raw_compiler(self, opt):
+        want, _ = run_expression(GRID_EXPR, GRID,
+                                 Machine(Mesh2D(2, 4), spec=AP1000), opt=opt)
+        got, res = run_expression_ft(
+            GRID_EXPR, GRID,
+            Machine(Mesh2D(2, 4), spec=AP1000,
+                    faults=FaultInjector(FaultSpec())), opt=opt)
+        assert got == want
+        assert res.total_retransmits == 0
 
     def test_hyperquicksort_expression_sorts(self, rng):
         from repro.apps.sort import hyperquicksort_expression, seq_quicksort
@@ -90,7 +118,17 @@ class TestUnderMessageFaults:
         want, _ = run_expression(expr, PA8, Machine(FullyConnected(8),
                                                     spec=AP1000))
         got, _res = run_expression_ft(expr, PA8, machine)
-        assert list(got) == list(want)
+        assert got == want
+
+    def test_grid_values_survive_drops(self):
+        want, _ = run_expression(GRID_EXPR, GRID,
+                                 Machine(Mesh2D(2, 4), spec=AP1000))
+        machine = Machine(Mesh2D(2, 4), spec=AP1000,
+                          faults=FaultInjector(FaultSpec(seed=2,
+                                                         drop_rate=0.15)))
+        got, res = run_expression_ft(GRID_EXPR, GRID, machine)
+        assert got == want
+        assert res.total_retransmits > 0
 
     def test_drops_force_retransmissions(self, rng):
         from repro.apps.sort import hyperquicksort_expression, seq_quicksort

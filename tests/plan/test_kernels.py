@@ -20,7 +20,6 @@ from repro.plan.kernels import (
     elementwise,
     group_uniform,
     has_batched,
-    shard_transform,
     stack_uniform,
     vectorize_fragment,
 )
@@ -70,8 +69,6 @@ class TestElementwiseCostTag:
         frag = elementwise(np.exp, name="exp")
         assert frag.__name__ == "exp"
         assert has_batched(frag)
-        # The ufunc itself doubles as the row-independent shard transform.
-        assert shard_transform(frag) is np.exp
 
 
 class TestGroupUniform:

@@ -20,6 +20,12 @@ def square(x):
     return x * x
 
 
+def fail_on_three(x):
+    if x == 3:
+        raise KeyError(x)
+    return x
+
+
 class TestSequentialExecutor:
     def test_map_preserves_order(self):
         ex = SequentialExecutor()
@@ -81,6 +87,16 @@ class TestProcessExecutor:
     def test_map_with_picklable_function(self):
         with ProcessExecutor(max_workers=2) as ex:
             assert ex.map(square, [1, 2, 3]) == [1, 4, 9]
+
+    def test_map_preserves_order_over_many_items(self):
+        items = list(range(250))[::-1]
+        with ProcessExecutor(max_workers=2) as ex:
+            assert ex.map(square, items) == [x * x for x in items]
+
+    def test_task_exception_keeps_its_type(self):
+        with ProcessExecutor(max_workers=2) as ex:
+            with pytest.raises(KeyError):
+                ex.map(fail_on_three, range(8))
 
 
 class TestGetExecutor:

@@ -33,7 +33,8 @@ from repro.machine.topology import (
     Mesh2D,
     FullyConnected,
 )
-from repro.machine.simulator import Machine, ProcEnv, RunResult, ProcStats
+from repro.machine.simulator import (Machine, ProcEnv, RunResult, ProcStats,
+                                     replay_program)
 from repro.machine.api import Comm
 from repro.machine.reliable import ReliableChannel
 from repro.machine import (collectives, collectives_ext, collectives_ft,
@@ -54,6 +55,7 @@ __all__ = [
     "ProcEnv",
     "RunResult",
     "ProcStats",
+    "replay_program",
     "Comm",
     "ReliableChannel",
     "collectives",

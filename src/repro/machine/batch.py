@@ -42,6 +42,17 @@ contract traced and faulted runs use.
 
 The engine is active only for ``faults is None``, untraced,
 multi-port runs; everything else takes the per-event path unchanged.
+
+Static scripts
+--------------
+
+:func:`time_scripts` is the same schedule with nothing left to decide:
+it times precomputed request lists (:meth:`Machine.run_scripts`) whose
+receives all name a concrete ``(src, tag)``.  Matching is then FIFO per
+stream whatever order ranks run in, so a worklist of script cursors with
+one ``(arrival, nbytes)`` queue per open stream replaces generators,
+closures, lookahead and quiescence.  Anything outside that model is
+declined back to :func:`run_batched`, which stays its oracle.
 """
 
 from __future__ import annotations
@@ -49,7 +60,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Generator
 from itertools import repeat as _rep
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -57,7 +68,7 @@ from repro.errors import DeadlockError, MachineError
 from repro.machine.cost import estimate_nbytes
 from repro.machine.events import ANY, Compute, Message, Recv, Send
 
-__all__ = ["BatchFallback", "run_batched"]
+__all__ = ["BatchFallback", "run_batched", "time_scripts"]
 
 _INF = float("inf")
 
@@ -1035,4 +1046,135 @@ def run_batched(machine: Any, programs: list, extra: list) -> Any:
         raise
 
     return RunResult(values=[p.value for p in bps], stats=stats,
-                     trace=None, events=events, crashed=[])
+                     trace=None, events=events, crashed=[], engine="batch")
+
+
+def time_scripts(machine: Any, scripts: Sequence[Sequence[Any]],
+                 finals: Sequence[Any]) -> Any:
+    """Time static request scripts directly; ``None`` declines the run.
+
+    Rank ``r`` issues ``scripts[r]`` and returns ``finals[r]``, exactly
+    as under :func:`repro.machine.simulator.replay_program`.  Ranks are
+    driven from a worklist, each as far as its script goes; a receive on
+    an empty ``(src, dst, tag)`` queue parks the rank until a send opens
+    that queue, and a queue is dropped as soon as it drains.  Clocks and
+    accounting are added in program order with the scalar arithmetic of
+    :func:`run_batched`'s flush, so the result is bit-identical.
+
+    Returns ``None`` — the caller then runs the engine, which gives the
+    canonical behaviour and errors — on a wildcard or timed receive, a
+    request that is not exactly ``Compute``/``Send``/``Recv``, a
+    retransmit, self-addressed or malformed send, a deadlock (the
+    worklist empties with ranks unfinished), or a message left over at
+    the end.
+    """
+    from repro.machine.simulator import ProcStats, RunResult
+
+    n = machine.nprocs
+    if len(scripts) != n or len(finals) != n:
+        return None
+    spec = machine.spec
+    send_ovh = spec.send_overhead
+    recv_ovh = spec.recv_overhead
+    latency = spec.latency
+    per_hop = spec.per_hop_latency
+    bandwidth = spec.bandwidth
+    word_bytes = spec.word_bytes
+    hops_nocheck = machine.topology._hops_nocheck
+
+    fifos: dict[tuple, deque] = {}   # open (src, dst, tag) streams
+    parked: dict[tuple, int] = {}    # empty stream -> rank waiting on it
+    pos = [0] * n
+    # Parked ranks' (clock, compute, overhead, idle, msgs/bytes sent,
+    # msgs/bytes received).
+    saved: list[tuple] = [(0.0, 0.0, 0.0, 0.0, 0, 0, 0, 0)] * n
+    # Per source: destination -> latency + per_hop * (hops - 1).
+    startup: list[dict | None] = [None] * n
+    stats: list[Any] = [None] * n
+    wl = list(range(n - 1, -1, -1))
+    events = 0
+    finished = 0
+    while wl:
+        r = wl.pop()
+        script = scripts[r]
+        m = len(script)
+        t, comp, ovh, idle, ms, bs, mr, br = saved[r]
+        st = startup[r]
+        if st is None:
+            st = startup[r] = {}
+        i = i0 = pos[r]
+        while i < m:
+            req = script[i]
+            cls = req.__class__
+            if cls is Recv:
+                src = req.src
+                tag = req.tag
+                if src is ANY or tag is ANY or req.timeout is not None:
+                    return None
+                key = (src, r, tag)
+                q = fifos.get(key)
+                if q is None:
+                    parked[key] = r
+                    break
+                arr, nb = q.popleft()
+                if not q:
+                    del fifos[key]
+                if arr > t:
+                    idle += arr - t
+                    t = arr
+                t += recv_ovh
+                ovh += recv_ovh
+                mr += 1
+                br += nb
+            elif cls is Send:
+                dst = req.dst
+                if (dst.__class__ is not int or not 0 <= dst < n or dst == r
+                        or req.is_retransmit):
+                    return None
+                nb = req.nbytes
+                if nb.__class__ is not int:
+                    nb = (estimate_nbytes(req.payload, word_bytes)
+                          if nb is None else int(nb))
+                if nb < 0:
+                    return None
+                t += send_ovh
+                ovh += send_ovh
+                lat = st.get(dst)
+                if lat is None:
+                    hops = hops_nocheck(r, dst)
+                    if hops < 1:
+                        hops = 1
+                    lat = st[dst] = latency + per_hop * (hops - 1)
+                key = (r, dst, req.tag)
+                q = fifos.get(key)
+                if q is None:
+                    q = fifos[key] = deque()
+                    w = parked.pop(key, None)
+                    if w is not None:
+                        wl.append(w)
+                q.append((t + (lat + nb / bandwidth), nb))
+                ms += 1
+                bs += nb
+            elif cls is Compute:
+                sec = req.seconds
+                if sec.__class__ is not float:
+                    sec = float(sec)
+                t += sec
+                comp += sec
+            else:
+                return None
+            i += 1
+        events += i - i0
+        pos[r] = i
+        if i < m:
+            saved[r] = (t, comp, ovh, idle, ms, bs, mr, br)
+            continue
+        stats[r] = ProcStats(pid=r, compute_seconds=comp,
+                             overhead_seconds=ovh, idle_seconds=idle,
+                             msgs_sent=ms, msgs_received=mr, bytes_sent=bs,
+                             bytes_received=br, finish_time=t)
+        finished += 1
+    if finished < n or fifos:
+        return None
+    return RunResult(values=list(finals), stats=stats, trace=None,
+                     events=events, crashed=[], engine="script")

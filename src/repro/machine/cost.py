@@ -158,6 +158,8 @@ _NBYTES_CACHE_MAX = 4096
 #: would outweigh the walk they save).
 _NBYTES_CACHE_MAX_LEN = 64
 
+_ndarray = np.ndarray
+
 
 def estimate_nbytes(payload: Any, word_bytes: int = 8) -> int:
     """Estimate the wire size of a message payload.
@@ -173,19 +175,17 @@ def estimate_nbytes(payload: Any, word_bytes: int = 8) -> int:
     definition) without the per-element recursion.  Small hashable tuples
     are additionally memoized across calls: programs re-send the same
     header-style payloads thousands of times on the hot path, and one
-    C-level hash beats re-walking the structure.
+    C-level hash beats re-walking the structure.  Tuples holding an
+    ndarray skip the memo (hashing them can only fail) and sum their
+    elements directly.
     """
-    if isinstance(payload, np.ndarray):
-        return int(payload.nbytes)
-    if isinstance(payload, (bool, numbers.Number)):
-        return word_bytes
-    if payload is None:
-        return word_bytes
-    if isinstance(payload, (str, bytes, bytearray)):
-        return max(len(payload), 1)
-    if isinstance(payload, memoryview):
-        return max(payload.nbytes, 1)
     if type(payload) is tuple and len(payload) <= _NBYTES_CACHE_MAX_LEN:
+        for item in payload:
+            if item.__class__ is _ndarray:
+                # Unhashable, so the memo would only raise TypeError; an
+                # array element also rules out the walk's flat path.
+                return max(word_bytes, sum([estimate_nbytes(x, word_bytes)
+                                            for x in payload]))
         try:
             return _NBYTES_CACHE[(word_bytes, payload)]
         except KeyError:
@@ -196,6 +196,16 @@ def estimate_nbytes(payload: Any, word_bytes: int = 8) -> int:
             return nb
         except TypeError:
             pass  # unhashable element somewhere inside; walk it
+    if isinstance(payload, np.ndarray):
+        return int(payload.nbytes)
+    if isinstance(payload, (bool, numbers.Number)):
+        return word_bytes
+    if payload is None:
+        return word_bytes
+    if isinstance(payload, (str, bytes, bytearray)):
+        return max(len(payload), 1)
+    if isinstance(payload, memoryview):
+        return max(payload.nbytes, 1)
     return _estimate_walk(payload, word_bytes)
 
 

@@ -97,7 +97,7 @@ from repro.machine.events import ANY, Compute, Message, Recv, Send
 from repro.machine.topology import FullyConnected, Topology
 from repro.machine.trace import Span, Trace
 
-__all__ = ["Machine", "ProcEnv", "ProcStats", "RunResult"]
+__all__ = ["Machine", "ProcEnv", "ProcStats", "RunResult", "replay_program"]
 
 Program = Callable[["ProcEnv"], Generator[Any, Any, Any]]
 
@@ -147,6 +147,12 @@ class RunResult:
     #: ``None`` in :attr:`values` and a ``finish_time`` equal to the time
     #: of death.  Always empty without a fault injector.
     crashed: list[int] = dataclasses.field(default_factory=list)
+    #: Which path timed the run: ``"script"`` (the static-script timer),
+    #: ``"batch"`` (the batched engine), ``"event"`` (the per-event
+    #: engine) or ``"batch→event"`` (batched, restarted per-event after a
+    #: :class:`~repro.machine.batch.BatchFallback`).  Provenance only:
+    #: excluded from ``==``, since every path gives the same run.
+    engine: str = dataclasses.field(default="event", compare=False)
 
     @property
     def nprocs(self) -> int:
@@ -450,6 +456,18 @@ class _Mailbox:
         return self._pop_heap(h)
 
 
+def replay_program(scripts: Sequence[Sequence[Any]],
+                   finals: Sequence[Any]) -> Program:
+    """A machine program that replays rank ``env.pid``'s script."""
+
+    def program(env):
+        for req in scripts[env.pid]:
+            yield req
+        return finals[env.pid]
+
+    return program
+
+
 class _Proc:
     """Internal per-processor simulator state."""
 
@@ -548,8 +566,33 @@ class Machine:
             try:
                 return run_batched(self, programs, extra)
             except BatchFallback:
-                pass  # per-event oracle handles what batching cannot
+                # The per-event oracle handles what batching cannot.
+                res = self._run_events(programs, extra)
+                res.engine = "batch→event"
+                return res
         return self._run_events(programs, extra)
+
+    def run_scripts(self, scripts: Sequence[Sequence[Any]],
+                    finals: Sequence[Any]) -> RunResult:
+        """Run static request scripts: rank ``r`` issues ``scripts[r]`` in
+        order, ignores what its receives deliver, and returns
+        ``finals[r]``.
+
+        Equivalent to ``self.run(replay_program(scripts, finals))``.  On
+        machines the batched engine would take, the scripts are timed
+        directly by :func:`repro.machine.batch.time_scripts`, with no
+        generators; a script that needs the engine's semantics (a
+        wildcard or timed receive, a deadlock, a leftover message, ...)
+        is handed to :meth:`run` instead, which also gives its canonical
+        errors.
+        """
+        if (self.batch and self.faults is None and not self.record_trace
+                and not self.single_port):
+            from repro.machine.batch import time_scripts
+            res = time_scripts(self, scripts, finals)
+            if res is not None:
+                return res
+        return self.run(replay_program(scripts, finals))
 
     def _run_events(self, programs: list[Program],
                     extra: list[tuple]) -> RunResult:

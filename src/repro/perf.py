@@ -35,7 +35,10 @@ reports.  Three workload families are measured at several machine sizes:
     ``PLAN_INTERP_BASELINE`` — the PR-4 plan interpreter before the
     optimizer and the vectorized data plane.  ``speedup_vs_noopt`` pairs
     the two rows measured in the same process, so the figure is free of
-    host-speed drift.
+    host-speed drift.  ``replay_speedup_vs_batched`` (opt row only) is the
+    same kind of twin one layer down: one precomputed set of vexec
+    scripts timed through :meth:`Machine.run_scripts` and through the
+    batched engine's generator replay.
 
 ``compiled_gauss_jordan`` / ``compiled_gauss_jordan_noopt``
     The §3 solver through the same compiler at one fixed small (n, p) —
@@ -349,6 +352,9 @@ def bench_compiled_hyperquicksort(p: int, *, n: int = 100_000,
     name = ("compiled_hyperquicksort" if opt != "off"
             else "compiled_hyperquicksort_noopt")
     rec = _record(name, p, host, result, n=n)
+    if opt != "off":
+        rec["replay_speedup_vs_batched"] = _replay_speedup(
+            values, d, repeats=repeats)
     base = TREEWALK_BASELINE.get(f"{name}/p{p}")
     # Only ratio against the frozen tree-walk numbers when this run is the
     # same workload they were measured on.  The event count alone can't
@@ -358,6 +364,31 @@ def bench_compiled_hyperquicksort(p: int, *, n: int = 100_000,
     if base and host > 0 and n == 100_000 and rec["events"] == base["events"]:
         rec["speedup_vs_treewalk"] = round(base["host_seconds"] / host, 2)
     return rec
+
+
+def _replay_speedup(values: np.ndarray, d: int, *, repeats: int) -> float:
+    """Host-time ratio of the batched engine's replay of one sort's vexec
+    scripts to :meth:`Machine.run_scripts` on the same scripts."""
+    from repro.apps.sort import hyperquicksort_expression, seq_quicksort
+    from repro.core import Block, parmap, partition
+    from repro.plan import vexec
+    from repro.plan.lower import lower
+    from repro.scl.compile import resolve_opt
+
+    machine = Machine(Hypercube(d), spec=AP1000)
+    plan = lower(hyperquicksort_expression(d), machine.nprocs, None,
+                 opt=resolve_opt("auto", machine))
+    blocks = parmap(seq_quicksort, partition(Block(machine.nprocs), values))
+    pre = vexec.precompute(plan, blocks.to_list(), machine.spec)
+    t_script, direct = _timed(lambda: machine.run_scripts(*pre),
+                              repeats=repeats)
+    t_batch, replayed = _timed(
+        lambda: machine.run(vexec.replay_program(*pre)), repeats=repeats)
+    if direct.engine != "script" or replayed.engine != "batch" \
+            or direct.makespan != replayed.makespan:
+        raise AssertionError(
+            f"script timer and batched replay disagree at d={d}")
+    return round(t_batch / t_script, 2) if t_script > 0 else 0.0
 
 
 def bench_compiled_gauss_jordan(p: int, *, n: int = 48, seed: int = 19950701,

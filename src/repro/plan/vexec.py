@@ -12,12 +12,16 @@ the interpreter's two jobs:
    loop.  The walk records, per rank, the exact sequence of simulator
    requests the interpreter would have yielded — same constructors, same
    arithmetic, same order.
-2. **Replay** (:func:`replay_program`): each virtual processor runs a
-   trivial generator that yields its prebuilt script.  The simulator
-   sees a bit-for-bit identical request stream, so makespan, message
-   counts and per-processor stats match the interpreted run exactly —
-   all the interpreter's per-instruction dispatch, table indexing and
-   collective generator frames are gone from the hot loop.
+2. **Timing** (:meth:`~repro.machine.Machine.run_scripts`): the scripts
+   are plain data — every ``Recv`` names one source rank and one tag,
+   with no wildcard and no timeout — so the machine times them directly,
+   without generators (:func:`repro.machine.batch.time_scripts`).  The
+   request stream is the interpreter's, bit for bit, so makespan,
+   message counts and per-processor stats match the interpreted run
+   exactly.  Scripts the timer declines, and machines it does not
+   cover, are replayed instead: :func:`replay_program` gives each
+   virtual processor a trivial generator that yields its prebuilt
+   script to the engine, which stays the timer's oracle.
 
 The raw interpreter (:func:`repro.machine.plan_exec.execute_plan`) is
 this path's oracle.  Collectives are not re-derived by hand:
@@ -44,6 +48,7 @@ from repro.errors import MachineError
 from repro.machine.cost import MachineSpec, estimate_nbytes
 from repro.machine.events import Compute, Recv, Send
 from repro.machine.plan_exec import EXCHANGE_TAG, RAW
+from repro.machine.simulator import replay_program
 from repro.plan import ir
 from repro.plan.kernels import batched_apply
 
@@ -125,17 +130,6 @@ def precompute(plan: ir.Plan, values: Sequence[Any], spec: MachineSpec,
     ctx = _Ctx(plan, spec, default, scripts)
     finals = _run_seq(plan.instrs, ctx, list(values))
     return scripts, finals
-
-
-def replay_program(scripts: list[list], finals: list):
-    """A machine program that replays rank ``env.pid``'s script."""
-
-    def program(env):
-        for req in scripts[env.pid]:
-            yield req
-        return finals[env.pid]
-
-    return program
 
 
 # ------------------------------------------------------------ data plane

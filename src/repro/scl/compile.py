@@ -115,9 +115,10 @@ class CompiledProgram:
         ending in ``Fold``.
 
         Fault-free, untraced runs of flat optimized plans go through the
-        scripted data plane (:mod:`repro.plan.vexec`) — bit-identical
-        request stream, so the returned statistics match the interpreter.
-        Traced or fault-injected machines always interpret.
+        scripted data plane (:mod:`repro.plan.vexec`), timed by
+        :meth:`Machine.run_scripts` — bit-identical request stream, so the
+        returned statistics match the interpreter.  Traced or
+        fault-injected machines always interpret.
         """
         from repro.machine.api import Comm
         from repro.machine.plan_exec import execute_plan
@@ -143,7 +144,7 @@ class CompiledProgram:
 
             pre = vexec.precompute(plan, values, self.machine.spec, default)
             if pre is not None:
-                res = self.machine.run(vexec.replay_program(*pre))
+                res = self.machine.run_scripts(*pre)
         if res is None:
             label = self.label
 

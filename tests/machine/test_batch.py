@@ -29,6 +29,7 @@ def _paired(program, topo_factory, *, spec=AP1000, **kw):
     and event count."""
     res_b = Machine(topo_factory(), spec=spec, **kw).run(program)
     res_e = Machine(topo_factory(), spec=spec, batch=False, **kw).run(program)
+    assert res_e.engine == "event"
     assert res_b.makespan == res_e.makespan
     assert res_b.values == res_e.values
     assert res_b.stats == res_e.stats
@@ -185,9 +186,10 @@ class TestTimeouts:
 
 class TestQuiescenceDecisions:
     def test_non_solo_wildcard_decided_by_bounds(self):
-        """Two receivers block at once; each wildcard pick must be decided
-        by the conservative lookahead bounds (neither is the last live
-        processor, so the solo snapshot path cannot apply)."""
+        """Two receivers block at once on wildcards (neither is the last
+        live processor, so the solo snapshot path cannot apply).  The
+        conservative lookahead bounds cannot decide this race, so the
+        batched run restarts on the per-event engine."""
 
         def program(env):
             p = env.nprocs
@@ -201,7 +203,8 @@ class TestQuiescenceDecisions:
             yield env.send(env.pid % 2, env.pid, tag=env.pid % 2, nbytes=16)
             return None
 
-        _paired(program, lambda: FullyConnected(10))
+        res = _paired(program, lambda: FullyConnected(10))
+        assert res.engine == "batch→event"
 
 
 class TestFallbacks:
@@ -226,6 +229,7 @@ class TestFallbacks:
             ).run(program)
 
         res_b, res_e = run(True), run(False)
+        assert res_b.engine == res_e.engine == "event"
         assert res_b.crashed == res_e.crashed == [1]
         assert res_b.values == res_e.values
         assert res_b.values[0] == ("pre-crash", None)
@@ -248,6 +252,7 @@ class TestFallbacks:
 
         res = _paired(program, lambda: FullyConnected(2))
         assert res.values == ["sender-done", "timed-out"]
+        assert res.engine == "batch→event"
 
     def test_error_parity_self_send(self):
         def program(env):
@@ -302,3 +307,4 @@ class TestBatchedFlushPaths:
 
         res = _paired(program, lambda: FullyConnected(4))
         assert res.values[0] == 3 * sum(range(40))
+        assert res.engine == "batch"

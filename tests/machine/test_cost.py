@@ -162,3 +162,48 @@ class TestEstimateNbytesFlatFastPath:
     def test_fast_path_matches_recursive_definition(self, xs, wb):
         expected = max(wb, sum(estimate_nbytes(x, wb) for x in xs)) if xs else wb
         assert estimate_nbytes(xs, word_bytes=wb) == expected
+
+
+class TestEstimateNbytesArrayContainers:
+    """Tuples holding arrays skip the (unhashable) memo; every container
+    still costs exactly what the recursive walk gives."""
+
+    A = np.zeros(5, dtype=np.int32)
+    B = np.arange(3, dtype=np.float64)
+    CORPUS = [
+        (A, B),
+        (A, (B, (A, 1)), "tag"),
+        ((A, B), [A, B], {"k": A}),
+        [A, B, np.zeros(0)],
+        [A, (1, 2)],
+        (np.zeros((2, 3)),),
+        (1, 2, 3),
+        ("hdr", 7, None, 2.5),
+        ((1, 2), (3, (4, 5))),
+        (),
+        [],
+        ((), []),
+    ]
+
+    @pytest.mark.parametrize("wb", [4, 8])
+    @pytest.mark.parametrize("payload", CORPUS, ids=repr)
+    def test_matches_the_walk(self, payload, wb):
+        from repro.machine.cost import _estimate_walk
+
+        assert estimate_nbytes(payload, word_bytes=wb) \
+            == _estimate_walk(payload, wb)
+
+    def test_header_tuples_still_hit_the_memo(self):
+        from repro.machine import cost
+
+        header = ("hdr", 7, 11)
+        cost._NBYTES_CACHE.pop((8, header), None)
+        nb = estimate_nbytes(header)
+        assert cost._NBYTES_CACHE[(8, header)] == nb == 3 + 8 + 8
+
+    def test_array_tuples_leave_the_memo_alone(self):
+        from repro.machine import cost
+
+        before = dict(cost._NBYTES_CACHE)
+        assert estimate_nbytes((self.A, self.B)) == 20 + 24
+        assert cost._NBYTES_CACHE == before

@@ -56,6 +56,16 @@ class TestRunSuite:
                 assert rec["makespan"] == twin["makespan"]
                 assert rec["messages"] == twin["messages"]
 
+    def test_compiled_sort_rows_time_the_replay_twin(self, quick_suite):
+        rows = [k for k in quick_suite
+                if k.startswith("compiled_hyperquicksort/")]
+        assert rows
+        for key in rows:
+            assert quick_suite[key]["replay_speedup_vs_batched"] > 0, key
+        assert not any("replay_speedup_vs_batched" in rec
+                       for key, rec in quick_suite.items()
+                       if key.startswith("compiled_hyperquicksort_noopt/"))
+
     def test_median_merge_picks_consistent_records(self, quick_suite):
         import copy
 

@@ -34,13 +34,16 @@ machine clock is part of the IR's execution contract: every executor of a
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable
+import functools
+import operator
+from typing import Any, Callable, NamedTuple, Sequence
 
 __all__ = [
     "DEFAULT_FRAGMENT_OPS", "base_fragment", "fragment_ops",
     "Instr", "LocalApply", "Rotate", "Exchange", "Collective",
     "GroupSplit", "SubPlan", "GroupCombine", "Loop",
     "Plan", "Scalar", "NO_ENV", "instr_title",
+    "Traffic", "exchange_from_srcs",
     "FusedKernel", "apply_fused",
 ]
 
@@ -171,6 +174,16 @@ class Rotate(Instr):
     k: int
 
 
+class Traffic(NamedTuple):
+    """Message totals of one :class:`Exchange`: ``messages`` on the wire,
+    the largest ``fan_out`` (``len(sends[r])``) and the largest ``fan_in``
+    (entries of ``recvs[r]`` other than ``r`` itself)."""
+
+    messages: int
+    fan_out: int
+    fan_in: int
+
+
 @dataclasses.dataclass(frozen=True)
 class Exchange(Instr):
     """A static point-to-point pattern with precomputed per-rank tables.
@@ -193,6 +206,40 @@ class Exchange(Instr):
     sends: tuple[tuple[int, ...], ...]
     recvs: tuple[tuple[int, ...], ...]
     label: str = "exchange"
+
+    @functools.cached_property
+    def traffic(self) -> Traffic:
+        """The pattern's :class:`Traffic`, computed once per instruction.
+
+        Not a field: equality, hashing and ``repr`` ignore it, and
+        :meth:`__getstate__` keeps it out of pickles.
+        """
+        fan_in = map(operator.sub, map(len, self.recvs),
+                     map(tuple.count, self.recvs, range(len(self.recvs))))
+        return Traffic(sum(map(len, self.sends)),
+                       max(map(len, self.sends), default=0),
+                       max(fan_in, default=0))
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("traffic", None)
+        return state
+
+
+def exchange_from_srcs(mode: str, srcs: Sequence[int],
+                       label: str) -> Exchange:
+    """The single-source :class:`Exchange` in which rank ``r`` receives
+    from ``srcs[r]``.
+
+    ``sends[s]`` lists, in ascending order, every other rank that reads
+    from ``s`` — built in one bucket pass, O(p + messages).
+    """
+    sends: list[list[int]] = [[] for _ in srcs]
+    for j, src in enumerate(srcs):
+        if src != j:
+            sends[src].append(j)
+    return Exchange(mode, tuple(map(tuple, sends)), tuple(zip(srcs)),
+                    label=label)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -313,52 +313,28 @@ def _emit(node: N.Node, p: int, grid: tuple[int, int] | None,
 
     if isinstance(node, N.Fetch):
         _no_grid(grid, "fetch")
-        srcs = []
-        for r in range(p):
-            src = node.f(r)
-            if not (0 <= src < p):
-                raise SkeletonError(
-                    f"fetch: source {src} out of range 0..{p - 1}")
-            srcs.append(src)
-        sends = tuple(tuple(j for j in range(p) if srcs[j] == r and j != r)
-                      for r in range(p))
-        recvs = tuple((srcs[r],) for r in range(p))
-        out.append(ir.Exchange("replace", sends, recvs, label="fetch"))
+        srcs = _rank_table(node.f, p, "fetch: source")
+        out.append(ir.exchange_from_srcs("replace", srcs, "fetch"))
         return
 
     if isinstance(node, N.AlignFetch):
         _no_grid(grid, "align-fetch")
-        srcs = []
-        for r in range(p):
-            src = node.f(r)
-            if not (0 <= src < p):
-                raise SkeletonError(
-                    f"align-fetch: source {src} out of range 0..{p - 1}")
-            srcs.append(src)
-        sends = tuple(tuple(j for j in range(p) if srcs[j] == r and j != r)
-                      for r in range(p))
-        recvs = tuple((srcs[r],) for r in range(p))
-        out.append(ir.Exchange("pair", sends, recvs, label="align-fetch"))
+        srcs = _rank_table(node.f, p, "align-fetch: source")
+        out.append(ir.exchange_from_srcs("pair", srcs, "align-fetch"))
         return
 
     if isinstance(node, N.PermSend):
         _no_grid(grid, "send")
-        dsts = []
+        dsts = _rank_table(node.f, p, "send: destination")
+        sources = _sources_by_dst(enumerate(dsts), p)
         for r in range(p):
-            dst = node.f(r)
-            if not (0 <= dst < p):
+            n = len(sources[r])
+            if n != 1:
                 raise SkeletonError(
-                    f"send: destination {dst} out of range 0..{p - 1}")
-            dsts.append(dst)
-        for r in range(p):
-            sources = [k for k in range(p) if dsts[k] == r]
-            if len(sources) != 1:
-                raise SkeletonError(
-                    f"send: index {r} receives {len(sources)} elements — "
+                    f"send: index {r} receives {n} elements — "
                     f"the index map is not a permutation")
         sends = tuple((dsts[r],) if dsts[r] != r else () for r in range(p))
-        recvs = tuple(tuple(k for k in range(p) if dsts[k] == r)
-                      for r in range(p))
+        recvs = tuple(map(tuple, sources))
         out.append(ir.Exchange("replace", sends, recvs, label="send"))
         return
 
@@ -374,9 +350,9 @@ def _emit(node: N.Node, p: int, grid: tuple[int, int] | None,
             dst_lists.append(dsts)
         sends = tuple(tuple(d for d in dst_lists[r] if d != r)
                       for r in range(p))
-        recvs = tuple(tuple(k for k in range(p) for d in dst_lists[k]
-                            if d == r)
-                      for r in range(p))
+        sources = _sources_by_dst(((k, d) for k, dsts in enumerate(dst_lists)
+                                   for d in dsts), p)
+        recvs = tuple(map(tuple, sources))
         out.append(ir.Exchange("collect", sends, recvs, label="send*"))
         return
 
@@ -401,14 +377,15 @@ def _emit(node: N.Node, p: int, grid: tuple[int, int] | None,
                 "`combine` first")
         raw = node.pattern.split(list(range(p)))
         groups = [tuple(raw[idx]) for idx in raw.indices()]
+        first_group: dict[int, int] = {}
+        for gi, members in enumerate(groups):
+            for r in members:
+                first_group.setdefault(r, gi)
         group_of = []
         for r in range(p):
-            for gi, members in enumerate(groups):
-                if r in members:
-                    group_of.append(gi)
-                    break
-            else:
+            if r not in first_group:
                 raise SkeletonError(f"split pattern lost rank {r}")
+            group_of.append(first_group[r])
         instr = ir.GroupSplit(tuple(groups), tuple(group_of))
         out.append(instr)
         splits.append(instr)
@@ -442,6 +419,27 @@ def _emit(node: N.Node, p: int, grid: tuple[int, int] | None,
 
     raise SkeletonError(
         f"the SCL compiler does not support {type(node).__name__} nodes")
+
+
+def _rank_table(f, p: int, what: str) -> list:
+    """``[f(0), ..., f(p - 1)]``, each checked to be a rank; ``what``
+    names the value in the out-of-range error."""
+    table = []
+    for r in range(p):
+        x = f(r)
+        if not (0 <= x < p):
+            raise SkeletonError(f"{what} {x} out of range 0..{p - 1}")
+        table.append(x)
+    return table
+
+
+def _sources_by_dst(edges, p: int) -> list[list[int]]:
+    """Bucket ``(src, dst)`` edges by destination rank, keeping edge
+    order — one pass over the edges, not one scan of all ranks per rank."""
+    sources: list[list[int]] = [[] for _ in range(p)]
+    for src, dst in edges:
+        sources[dst].append(src)
+    return sources
 
 
 def _require_grid(grid, who: str) -> None:

@@ -44,6 +44,7 @@ piece of the optimizer — the vectorized SoA kernel backend — lives in
 from __future__ import annotations
 
 import dataclasses
+import operator
 from typing import Any
 
 from repro.machine.cost import AP1000, MachineSpec
@@ -221,18 +222,11 @@ def _fuse_nested(instr: ir.Instr, notes: list[PassNote]) -> ir.Instr:
 def _route_map(instr: ir.Instr, p: int) -> tuple[int, ...] | None:
     """``srcs[r]`` of a pure-routing instruction, or ``None``."""
     if isinstance(instr, ir.Rotate):
-        return tuple((r + instr.k) % p for r in range(p))
+        k = instr.k % p
+        return tuple(range(k, p)) + tuple(range(k))
     if isinstance(instr, ir.Exchange) and instr.mode == "replace":
-        return tuple(instr.recvs[r][0] for r in range(p))
+        return tuple(map(operator.itemgetter(0), instr.recvs))
     return None
-
-
-def _exchange_from_srcs(srcs: tuple[int, ...], label: str) -> ir.Exchange:
-    p = len(srcs)
-    sends = tuple(tuple(j for j in range(p) if srcs[j] == r and j != r)
-                  for r in range(p))
-    recvs = tuple((srcs[r],) for r in range(p))
-    return ir.Exchange("replace", sends, recvs, label=label)
 
 
 def _route_label(instr: ir.Instr) -> str:
@@ -257,7 +251,7 @@ def _coalesce_seq(instrs, plan: ir.Plan, spec: MachineSpec,
             changed = True
         instr = nested
         srcs = _route_map(instr, p)
-        if srcs is not None and all(s == r for r, s in enumerate(srcs)):
+        if srcs is not None and srcs == tuple(range(p)):
             # identity routing: no traffic, no result change — drop it
             notes.append(PassNote(
                 "coalesce", f"dropped identity {_route_label(instr)}"))
@@ -286,15 +280,15 @@ def _compose_routes(a: ir.Instr, srcs_a, b: ir.Instr, srcs_b, p: int,
     Returns ``None`` to keep the pair, ``()`` when the composition is the
     identity (both dropped), or a 1-tuple with the merged instruction.
     """
-    composed = tuple(srcs_a[srcs_b[r]] for r in range(p))
+    composed = tuple(map(srcs_a.__getitem__, srcs_b))
     la, lb = _route_label(a), _route_label(b)
-    if all(s == r for r, s in enumerate(composed)):
+    if composed == tuple(range(p)):
         notes.append(PassNote("coalesce", f"{la} . {lb} cancels out"))
         return ()
     if isinstance(a, ir.Rotate) and isinstance(b, ir.Rotate):
         merged: ir.Instr = ir.Rotate((a.k + b.k) % p)
     else:
-        merged = _exchange_from_srcs(composed, f"{la}+{lb}")
+        merged = ir.exchange_from_srcs("replace", composed, f"{la}+{lb}")
     sec_m, msg_m = _cost_of([merged], plan, spec)
     sec_ab, msg_ab = _cost_of([a, b], plan, spec)
     if sec_m > sec_ab or msg_m > msg_ab:

@@ -39,11 +39,9 @@ def _describe(instr: ir.Instr, tables: bool) -> str:
     if isinstance(instr, ir.Rotate):
         return f"rotate   k={instr.k}"
     if isinstance(instr, ir.Exchange):
-        total = sum(len(s) for s in instr.sends)
-        fan_in = max((sum(1 for s in r if s != i)
-                      for i, r in enumerate(instr.recvs)), default=0)
+        t = instr.traffic
         line = (f"exchange {instr.label} mode={instr.mode} "
-                f"msgs={total} max-fan-in={fan_in}")
+                f"msgs={t.messages} max-fan-in={t.fan_in}")
         if tables:
             line += "".join(
                 f"\n             rank {r}: send->{list(instr.sends[r])} "

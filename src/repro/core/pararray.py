@@ -14,7 +14,9 @@ what makes the transformation laws of §4 equational.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Mapping, Sequence, TypeVar, Union
+from collections.abc import Mapping
+from itertools import product
+from typing import Any, Callable, Iterator, Sequence, TypeVar, Union
 
 from repro.errors import ConfigurationError
 
@@ -69,29 +71,36 @@ class ParArray:
             if shape is None:
                 raise ConfigurationError("mapping construction requires an explicit shape")
             data = {normalize_index(k): v for k, v in items.items()}
+            covered = False
         else:
             items = list(items)
             if shape is None:
                 shape = (len(items),)
+            # Sequence indices come from the grid itself, so they cover
+            # it exactly unless a 1-D length disagrees with the shape.
             if len(shape) == 1:
                 data = {(i,): v for i, v in enumerate(items)}
+                covered = len(items) == shape[0]
             elif len(shape) == 2:
                 rows, cols = shape
                 if len(items) != rows or any(len(row) != cols for row in items):
                     raise ConfigurationError(
                         f"nested list does not match shape {shape}")
                 data = {(i, j): items[i][j] for i in range(rows) for j in range(cols)}
+                covered = True
             else:
                 raise ConfigurationError(
                     f"sequence construction supports 1-D/2-D shapes, got {shape}")
         if not all(isinstance(d, int) and d > 0 for d in shape):
             raise ConfigurationError(f"invalid ParArray shape {shape!r}")
-        expected = {idx for idx in _grid(shape)}
-        if set(data) != expected:
-            missing = sorted(expected - set(data))[:3]
-            extra = sorted(set(data) - expected)[:3]
-            raise ConfigurationError(
-                f"indices do not cover shape {shape}: missing {missing}, extra {extra}")
+        if not covered:
+            expected = set(_grid(shape))
+            if data.keys() != expected:
+                missing = sorted(expected - data.keys())[:3]
+                extra = sorted(data.keys() - expected)[:3]
+                raise ConfigurationError(
+                    f"indices do not cover shape {shape}: missing {missing}, "
+                    f"extra {extra}")
         self._shape = tuple(shape)
         self._data = data
         #: Optional distribution metadata (the PartitionPattern that built
@@ -135,7 +144,7 @@ class ParArray:
 
     def __iter__(self) -> Iterator[Any]:
         """Components in row-major index order."""
-        return (self._data[idx] for idx in _grid(self._shape))
+        return map(self._data.__getitem__, _grid(self._shape))
 
     def __contains__(self, value: Any) -> bool:
         return any(v is value or v == value for v in self)
@@ -201,13 +210,7 @@ class ParArray:
 
 def _grid(shape: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """Row-major iteration over a dense grid."""
-    if not shape:
-        yield ()
-        return
-    head, *rest = shape
-    for i in range(head):
-        for tail in _grid(rest):
-            yield (i, *tail)
+    return product(*map(range, shape))
 
 
 def _values_equal(a: Any, b: Any) -> bool:

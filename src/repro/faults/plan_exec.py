@@ -205,6 +205,7 @@ def run_expression_ft(expr, pa: ParArray, machine: Machine, *,
         return result
 
     res = machine.run(program)
+    res.plane = "ft"
     if res.values and isinstance(res.values[0], ir.Scalar):
         return res.values[0].value, res
     if len(shape) == 2:

@@ -153,6 +153,12 @@ class RunResult:
     #: :class:`~repro.machine.batch.BatchFallback`).  Provenance only:
     #: excluded from ``==``, since every path gives the same run.
     engine: str = dataclasses.field(default="event", compare=False)
+    #: Which data plane produced the requests: ``"vexec"`` (a compiled
+    #: run scripted by :mod:`repro.plan.vexec`), ``"interp"`` (a compiled
+    #: run walked by the plan interpreter), ``"ft"`` (the fault-tolerant
+    #: plan walk of ``run_expression_ft``) or ``""`` (a raw
+    #: :meth:`Machine.run` program).  Provenance only, like ``engine``.
+    plane: str = dataclasses.field(default="", compare=False)
 
     @property
     def nprocs(self) -> int:

@@ -78,10 +78,10 @@ def lower(expr: N.Node, nprocs: int,
     return plan
 
 
-def _optimize(plan: ir.Plan, opt) -> ir.Plan:
-    from repro.plan.opt import optimize_plan
+def _optimize(plan: ir.Plan, opt, routes: dict | None = None) -> ir.Plan:
+    from repro.plan.opt import _optimize_report
 
-    return optimize_plan(plan, opt)
+    return _optimize_report(plan, opt, routes)[0]
 
 
 def lower_uncached(expr: N.Node, nprocs: int,
@@ -96,8 +96,37 @@ def lower_uncached(expr: N.Node, nprocs: int,
     ``map``-of-sub-expression lowerings still share the cache: group
     sub-plans recur across candidates.)
     """
-    plan = _lower(expr, nprocs, grid)
-    return plan if opt is None else _optimize(plan, opt)
+    return _lower_scored(expr, nprocs, grid, opt, None)
+
+
+class _ScoreMemo:
+    """One beam search's scoring memo: what its candidates share.
+
+    Candidates are one rewrite apart, so most of each candidate is an
+    unchanged subtree of its parent.  ``lowered`` holds the instructions
+    of each *closed* subtree (one that neither needs nor leaves an open
+    ``split``, see :func:`_emit`); ``routes`` holds ``plan.opt``'s
+    route-composition outcomes (see :func:`repro.plan.opt._compose_memo`).
+    :func:`repro.tune.tune_expression` makes one per search and drops it
+    on return — no table outlives or is shared between searches, so
+    concurrent searches need no lock.
+    """
+
+    __slots__ = ("lowered", "routes")
+
+    def __init__(self):
+        self.lowered: dict[tuple, tuple[ir.Instr, ...]] = {}
+        self.routes: dict[tuple, tuple] = {}
+
+
+def _lower_scored(expr: N.Node, nprocs: int, grid, opt,
+                  memo: _ScoreMemo | None) -> ir.Plan:
+    """:func:`lower_uncached` sharing ``memo`` (``None``: no memo)."""
+    lowered = routes = None
+    if memo is not None:
+        lowered, routes = memo.lowered, memo.routes
+    plan = _lower(expr, nprocs, grid, lowered)
+    return plan if opt is None else _optimize(plan, opt, routes)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -210,9 +239,10 @@ def plan_cache_stats() -> dict[str, int]:
 
 
 def _lower(expr: N.Node, nprocs: int,
-           grid: tuple[int, int] | None) -> ir.Plan:
+           grid: tuple[int, int] | None,
+           lowered: dict | None = None) -> ir.Plan:
     out: list[ir.Instr] = []
-    _emit(expr, nprocs, grid, out, [])
+    _emit(expr, nprocs, grid, out, [], lowered)
     returns_scalar = bool(out) and isinstance(out[-1], ir.Collective) \
         and out[-1].kind == "fold"
     return ir.Plan(tuple(out), nprocs, grid, returns_scalar)
@@ -220,20 +250,48 @@ def _lower(expr: N.Node, nprocs: int,
 
 def _emit(node: N.Node, p: int, grid: tuple[int, int] | None,
           out: list[ir.Instr],
-          splits: list[ir.GroupSplit]) -> None:
+          splits: list[ir.GroupSplit],
+          lowered: dict | None = None) -> None:
     """Append the instructions of ``node`` to ``out``.
 
     ``splits`` is the static stack of open ``split``s — the lowering-time
     image of the tree-walker's ``_Grouped`` value wrapper, used to resolve
     nesting errors and to find the group shapes a ``map`` of a
     sub-expression runs over.
-    """
-    if isinstance(node, N.Id):
-        return
 
+    ``lowered`` is a search's :attr:`_ScoreMemo.lowered`, or ``None``.
+    With no ``split`` open, a non-``Compose`` node lowers to the same
+    instructions wherever it appears: they are looked up by ``(node, p,
+    grid)`` and stored if the node leaves no ``split`` open.  Unhashable
+    nodes and subtrees that raise are lowered as without a memo.
+    """
     if isinstance(node, N.Compose):
         for step in reversed(node.steps):
-            _emit(step, p, grid, out, splits)
+            _emit(step, p, grid, out, splits, lowered)
+        return
+    if lowered is None or splits:
+        _emit_node(node, p, grid, out, splits, lowered)
+        return
+    key = (node, p, grid)
+    try:
+        hit = lowered.get(key)
+    except TypeError:  # unhashable node (e.g. a numpy farm environment)
+        _emit_node(node, p, grid, out, splits, lowered)
+        return
+    if hit is not None:
+        out.extend(hit)
+        return
+    start = len(out)
+    _emit_node(node, p, grid, out, splits, lowered)
+    if not splits:
+        lowered[key] = tuple(out[start:])
+
+
+def _emit_node(node: N.Node, p: int, grid: tuple[int, int] | None,
+               out: list[ir.Instr], splits: list[ir.GroupSplit],
+               lowered: dict | None) -> None:
+    """:func:`_emit` for one non-``Compose`` node, without the memo."""
+    if isinstance(node, N.Id):
         return
 
     if isinstance(node, N.Map):
@@ -405,14 +463,14 @@ def _emit(node: N.Node, p: int, grid: tuple[int, int] | None,
                 out.append(ir.LocalApply(stage.local, indexed=stage.indexed,
                                          label="spmd-local"))
             if stage.global_ is not None:
-                _emit(stage.global_, p, grid, out, splits)
+                _emit(stage.global_, p, grid, out, splits, lowered)
         return
 
     if isinstance(node, N.IterFor):
         bodies = []
         for i in range(node.n):
             body: list[ir.Instr] = []
-            _emit(node.body(i), p, grid, body, splits)
+            _emit(node.body(i), p, grid, body, splits, lowered)
             bodies.append(tuple(body))
         out.append(ir.Loop(tuple(bodies)))
         return

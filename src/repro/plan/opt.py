@@ -138,11 +138,17 @@ def optimize_plan(plan: ir.Plan, config: OptConfig) -> ir.Plan:
 def optimize_plan_report(plan: ir.Plan,
                          config: OptConfig) -> tuple[ir.Plan, tuple[PassNote, ...]]:
     """Like :func:`optimize_plan` but also reports what each pass did."""
+    return _optimize_report(plan, config, None)
+
+
+def _optimize_report(plan: ir.Plan, config: OptConfig, routes: dict | None):
+    """:func:`optimize_plan_report` sharing a search's route-composition
+    memo (``routes``, see :func:`_compose_memo`; ``None``: no memo)."""
     notes: list[PassNote] = []
     instrs = plan.instrs
     if config.coalesce:
         guard_spec = config.spec if config.spec is not None else AP1000
-        instrs = _coalesce_seq(instrs, plan, guard_spec, notes)
+        instrs = _coalesce_seq(instrs, plan, guard_spec, notes, routes)
     if config.fuse:
         instrs = _fuse_seq(instrs, notes)
     if config.select_collectives and config.spec is not None:
@@ -241,12 +247,12 @@ def _cost_of(instrs, plan: ir.Plan, spec: MachineSpec) -> tuple[float, int]:
 
 
 def _coalesce_seq(instrs, plan: ir.Plan, spec: MachineSpec,
-                  notes: list[PassNote]):
+                  notes: list[PassNote], routes: dict | None):
     p = plan.nprocs
     out: list[ir.Instr] = []
     changed = False
     for instr in instrs:
-        nested = _coalesce_nested(instr, plan, spec, notes)
+        nested = _coalesce_nested(instr, plan, spec, notes, routes)
         if nested is not instr:
             changed = True
         instr = nested
@@ -260,8 +266,8 @@ def _coalesce_seq(instrs, plan: ir.Plan, spec: MachineSpec,
         if out and srcs is not None:
             prev_srcs = _route_map(out[-1], p)
             if prev_srcs is not None:
-                merged = _compose_routes(out[-1], prev_srcs, instr, srcs, p,
-                                         plan, spec, notes)
+                merged = _compose_memo(out[-1], prev_srcs, instr, srcs, p,
+                                       plan, spec, notes, routes)
                 if merged is not None:
                     out.pop()
                     if merged:
@@ -270,6 +276,28 @@ def _coalesce_seq(instrs, plan: ir.Plan, spec: MachineSpec,
                     continue
         out.append(instr)
     return tuple(out) if changed else instrs
+
+
+def _compose_memo(a: ir.Instr, srcs_a, b: ir.Instr, srcs_b, p: int,
+                  plan: ir.Plan, spec: MachineSpec,
+                  notes: list[PassNote], routes: dict | None):
+    """:func:`_compose_routes`, answered from ``routes`` when given.
+
+    A search's candidates share lowered instruction objects, so the same
+    pair meets again and again; the memo keys on the pair's identities
+    plus ``(p, grid, spec)``, pins both instructions (ids cannot be
+    recycled while it lives) and replays the pair's notes on a hit.
+    """
+    if routes is None:
+        return _compose_routes(a, srcs_a, b, srcs_b, p, plan, spec, notes)
+    key = (id(a), id(b), p, plan.grid, spec)
+    hit = routes.get(key)
+    if hit is None:
+        mine: list[PassNote] = []
+        merged = _compose_routes(a, srcs_a, b, srcs_b, p, plan, spec, mine)
+        hit = routes[key] = (a, b, merged, tuple(mine))
+    notes.extend(hit[3])
+    return hit[2]
 
 
 def _compose_routes(a: ir.Instr, srcs_a, b: ir.Instr, srcs_b, p: int,
@@ -300,9 +328,9 @@ def _compose_routes(a: ir.Instr, srcs_a, b: ir.Instr, srcs_b, p: int,
 
 
 def _coalesce_nested(instr: ir.Instr, plan: ir.Plan, spec: MachineSpec,
-                     notes: list[PassNote]) -> ir.Instr:
+                     notes: list[PassNote], routes: dict | None) -> ir.Instr:
     if isinstance(instr, ir.Loop):
-        bodies = tuple(_coalesce_seq(body, plan, spec, notes)
+        bodies = tuple(_coalesce_seq(body, plan, spec, notes, routes)
                        for body in instr.bodies)
         if all(b is o for b, o in zip(bodies, instr.bodies)):
             return instr
@@ -310,7 +338,8 @@ def _coalesce_nested(instr: ir.Instr, plan: ir.Plan, spec: MachineSpec,
     if isinstance(instr, ir.SubPlan):
         plans = tuple(
             dataclasses.replace(
-                sub, instrs=_coalesce_seq(sub.instrs, sub, spec, notes))
+                sub, instrs=_coalesce_seq(sub.instrs, sub, spec, notes,
+                                          routes))
             for sub in instr.plans)
         if all(s.instrs is o.instrs for s, o in zip(plans, instr.plans)):
             return instr

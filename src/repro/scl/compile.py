@@ -118,7 +118,8 @@ class CompiledProgram:
         scripted data plane (:mod:`repro.plan.vexec`), timed by
         :meth:`Machine.run_scripts` — bit-identical request stream, so the
         returned statistics match the interpreter.  Traced or
-        fault-injected machines always interpret.
+        fault-injected machines always interpret.  ``RunResult.plane``
+        says which: ``"vexec"`` or ``"interp"``.
         """
         from repro.machine.api import Comm
         from repro.machine.plan_exec import execute_plan
@@ -145,6 +146,7 @@ class CompiledProgram:
             pre = vexec.precompute(plan, values, self.machine.spec, default)
             if pre is not None:
                 res = self.machine.run_scripts(*pre)
+                res.plane = "vexec"
         if res is None:
             label = self.label
 
@@ -155,6 +157,7 @@ class CompiledProgram:
                 return result
 
             res = self.machine.run(program)
+            res.plane = "interp"
         if res.values and isinstance(res.values[0], _Scalar):
             return res.values[0].value, res
         if len(shape) == 2:

@@ -126,10 +126,18 @@ def score_expression(expr: N.Node, *, nprocs: int,
     throwaway expressions that would otherwise evict hot entries and
     distort the service-level hit-rate metric.
     """
+    return _score(expr, nprocs, grid, opt, spec, fn_ops, element_bytes, None)
+
+
+def _score(expr: N.Node, nprocs: int, grid, opt, spec: MachineSpec,
+           fn_ops: float, element_bytes: int | None,
+           memo) -> tuple[ExprCost, bool]:
+    """:func:`score_expression` sharing a search's
+    :class:`~repro.plan.lower._ScoreMemo` (``None``: no memo)."""
     from repro.scl.optimize import estimate_cost
 
     try:
-        plan = _plan_lower.lower_uncached(expr, nprocs, grid, opt=opt)
+        plan = _plan_lower._lower_scored(expr, nprocs, grid, opt, memo)
     except Exception:
         return estimate_cost(expr, n=nprocs, spec=spec, fn_ops=fn_ops,
                              element_bytes=element_bytes), False
@@ -177,11 +185,14 @@ def tune_expression(expr: N.Node, *, nprocs: int,
     if opt is None:
         opt = OptConfig(spec=spec, topo=topo_sig)
     engine = RewriteEngine(ALL_RULES if rules is None else rules)
+    # Candidates are one rewrite apart: score them all against one memo,
+    # so each closed subtree is lowered and each route pair composed once
+    # per search.  It is this call's alone and dies with it.
+    memo = _plan_lower._ScoreMemo()
 
     def score(e: N.Node) -> tuple[ExprCost, bool]:
-        return score_expression(e, nprocs=nprocs, grid=grid, opt=opt,
-                                spec=spec, fn_ops=fn_ops,
-                                element_bytes=element_bytes)
+        return _score(e, nprocs, grid, opt, spec, fn_ops, element_bytes,
+                      memo)
 
     seen: set = set()
 

@@ -63,6 +63,59 @@ class TestConstruction:
             ParArray([1], shape=(1, 1, 1))
 
 
+class TestConstructionMessages:
+    """Every construction error, word for word, and row-major order
+    however the elements were supplied."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ParArray([]), "invalid ParArray shape (0,)"),
+        (lambda: ParArray([], shape=()),
+         "sequence construction supports 1-D/2-D shapes, got ()"),
+        (lambda: ParArray({}, shape=()),
+         "indices do not cover shape (): missing [()], extra []"),
+        (lambda: ParArray([1, 2], shape=(3,)),
+         "indices do not cover shape (3,): missing [(2,)], extra []"),
+        (lambda: ParArray([1, 2, 3, 4], shape=(3,)),
+         "indices do not cover shape (3,): missing [], extra [(3,)]"),
+        (lambda: ParArray([1, 2], shape=(2.0,)),
+         "invalid ParArray shape (2.0,)"),
+        (lambda: ParArray([], shape=(-1,)), "invalid ParArray shape (-1,)"),
+        (lambda: ParArray([], shape=(0, 3)), "invalid ParArray shape (0, 3)"),
+        (lambda: ParArray([[1, 2], [3]], shape=(2, 2)),
+         "nested list does not match shape (2, 2)"),
+        (lambda: ParArray([1], shape=(1, 1, 1)),
+         "sequence construction supports 1-D/2-D shapes, got (1, 1, 1)"),
+        (lambda: ParArray({0: 1}),
+         "mapping construction requires an explicit shape"),
+        (lambda: ParArray({(0,): 1}, shape=(3,)),
+         "indices do not cover shape (3,): missing [(1,), (2,)], extra []"),
+        (lambda: ParArray({(0,): 1, (1,): 2, (5,): 3, (7,): 1}, shape=(2,)),
+         "indices do not cover shape (2,): missing [], extra [(5,), (7,)]"),
+        (lambda: ParArray({(0, 0): 1, (1, 1): 2}, shape=(2, 2)),
+         "indices do not cover shape (2, 2): missing [(0, 1), (1, 0)], "
+         "extra []"),
+        (lambda: ParArray({"a": 1}, shape=(1,)),
+         "invalid ParArray index 'a'"),
+    ])
+    def test_error_messages_are_exact(self, build, message):
+        with pytest.raises(ConfigurationError) as err:
+            build()
+        assert str(err.value) == message
+
+    def test_mapping_in_any_order_iterates_row_major(self):
+        pa = ParArray({(i, j): 10 * i + j for j in range(3) for i in range(2)},
+                      shape=(2, 3))
+        assert pa.to_list() == [0, 1, 2, 10, 11, 12]
+        assert list(pa.indices()) == [(0, 0), (0, 1), (0, 2),
+                                      (1, 0), (1, 1), (1, 2)]
+
+    def test_three_dimensional_mapping_is_row_major(self):
+        pa = ParArray({(i, j, k): 100 * i + 10 * j + k
+                       for k in range(2) for j in range(2) for i in range(2)},
+                      shape=(2, 2, 2))
+        assert list(pa) == [0, 1, 10, 11, 100, 101, 110, 111]
+
+
 class TestAccess:
     def test_int_and_tuple_index_equivalent(self):
         pa = ParArray([5, 6, 7])

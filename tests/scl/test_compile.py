@@ -549,3 +549,47 @@ class TestGridCompilationEdgeCases:
     def test_3d_input_rejected(self):
         with pytest.raises(SkeletonError):
             CompiledProgram(Id(), self.grid_machine()).run("nonsense")
+
+
+class TestDataPlaneProvenance:
+    """``RunResult.plane`` names the data plane that produced the run, and
+    is provenance only: it never changes what ``==`` compares."""
+
+    FLAT = compose_nodes(Map(lambda x: x + 1), Rotate(1))
+    GROUPED = compose_nodes(Combine(), Map(Map(lambda x: x * 2)),
+                            Split(Block(4)))
+
+    def test_compiled_flat_run_is_scripted(self):
+        _, res = run_expression(self.FLAT, PA8, machine8())
+        assert res.plane == "vexec"
+
+    @pytest.mark.parametrize("case", ["traced", "opt-off", "group-plan"])
+    def test_compiled_run_interprets(self, case):
+        machine = Machine(Hypercube(3), spec=AP1000,
+                          record_trace=case == "traced")
+        expr = self.GROUPED if case == "group-plan" else self.FLAT
+        opt = "off" if case == "opt-off" else "auto"
+        got, res = run_expression(expr, PA8, machine, opt=opt)
+        assert res.plane == "interp"
+        assert got == evaluate(expr, PA8)
+
+    def test_fault_tolerant_run(self):
+        from repro.faults.plan_exec import run_expression_ft
+
+        got, res = run_expression_ft(self.FLAT, PA8, machine8())
+        assert res.plane == "ft"
+        assert got == evaluate(self.FLAT, PA8)
+
+    def test_raw_program_has_no_plane(self):
+        def program(env):
+            yield env.work(ops=1)
+            return env.pid
+
+        res = machine8().run(program)
+        assert res.plane == ""
+
+    def test_plane_is_excluded_from_equality(self):
+        _, scripted = run_expression(self.FLAT, PA8, machine8())
+        _, interp = run_expression(self.FLAT, PA8, machine8(), opt="off")
+        assert scripted.plane != interp.plane
+        assert scripted == interp

@@ -23,31 +23,55 @@ property-suite pattern, applied to the *pre-lowering* optimizer):
    the bottom pins the engineered case where greedy's all-or-nothing
    package fuses sparse fetches into a traffic funnel and search
    declines it.
+5. **The scoring memo is invisible** — a search scores its candidates
+   against one memo of lowered closed subtrees and composed route pairs;
+   every candidate's ``(cost, lowerable)``, raw plan and pass notes equal
+   a memo-free scoring of the same expression, searches running in
+   several threads at once equal sequential ones, and the memo does the
+   work it exists for (each ``fetch`` table is evaluated once per
+   search).
 """
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.pararray import ParArray
+from repro.core.partition import Block
 from repro.machine import AP1000, Machine, PERFECT
 from repro.machine.topology import FullyConnected, Hypercube, Ring
+from repro.plan.lower import _lower, _ScoreMemo, lower_uncached
+from repro.plan.opt import (
+    OptConfig,
+    _optimize_report,
+    optimize_plan_report,
+    topology_signature,
+)
 from repro.scl import (
     Brdcast,
+    Combine,
+    Farm,
     Fetch,
     Fold,
+    FoldrFused,
     IMap,
     IterFor,
     Map,
     Rotate,
     Scan,
+    Split,
     compose_nodes,
 )
 from repro.scl.compile import base_fragment, run_expression
 from repro.scl.optimize import optimize
 from repro.tune import score_expression, tune_expression
+from repro.tune.workloads import tuned_sort_pipeline
 
 SLACK = 1 + 1e-9  # fused compute charges re-associate float additions
 
@@ -199,3 +223,148 @@ class TestSearchBeatsGreedyAnchor:
         # the traffic-concentrating fetch fusion greedy bundled in
         assert len(rep_s.steps) < len(rep_g.steps)
         assert "fetch" not in " ".join(s.rule for s in rep_s.steps)
+
+
+# ------------------------------------------------------------ scoring memo
+
+def _assert_memo_invisible(res, p, spec, topo):
+    """Every frontier candidate scores, lowers and optimizes exactly as a
+    memo-free pipeline would — checked against one memo shared across
+    the candidates in order, the way the search shares it."""
+    opt = OptConfig(spec=spec, topo=topology_signature(topo))
+    for cand in res.frontier:
+        assert (cand.cost, cand.lowerable) == score_expression(
+            cand.expr, nprocs=p, opt=opt, spec=spec)
+    memo = _ScoreMemo()
+    for cand in res.frontier:
+        try:
+            plain = lower_uncached(cand.expr, p)
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                _lower(cand.expr, p, None, memo.lowered)
+            continue
+        shared = _lower(cand.expr, p, None, memo.lowered)
+        assert shared == plain
+        _, notes_shared = _optimize_report(shared, opt, memo.routes)
+        _, notes_plain = optimize_plan_report(plain, opt)
+        assert notes_shared == notes_plain
+
+
+@settings(max_examples=30, deadline=None)
+@given(prog=programs(), spec_name=st.sampled_from(sorted(SPECS)))
+def test_memo_scores_equal_memo_free_scores(prog, spec_name):
+    p, expr = prog
+    spec = SPECS[spec_name]
+    topo = FullyConnected(p)
+    res = tune_expression(expr, nprocs=p, spec=spec, topo=topo, beam=2,
+                          max_rounds=6)
+    _assert_memo_invisible(res, p, spec, topo)
+
+
+def _grouped_body(i):
+    # a closed split ... combine inside the loop body
+    return compose_nodes(Combine(), Map(compose_nodes(Map(_inc), Rotate(1))),
+                         Split(Block(2)), Map(_dbl), Map(_inc))
+
+
+def _open_split(i):
+    # leaves its split open: whatever follows runs under it
+    return compose_nodes(Map(_inc), Map(_dbl), Split(Block(2)))
+
+
+_FIXED = {
+    "split-combine-in-iterfor": compose_nodes(
+        Map(_inc), Map(_dbl), IterFor(2, _grouped_body), Rotate(1),
+        Rotate(2)),
+    "split-left-open-in-subtree": compose_nodes(
+        Combine(), Map(Map(_dbl)), Map(Map(_inc)), IterFor(1, _open_split),
+        Map(_inc), Map(_dbl), Rotate(3), Rotate(1)),
+    "unlowerable": compose_nodes(
+        FoldrFused(lambda a, b: a + b, _dbl, op_associative=True),
+        Map(_inc), Map(_dbl),
+        Rotate(1), Rotate(1)),
+    # one Rotate(1) instruction object, composed with two partners
+    "shared-route-instruction": compose_nodes(
+        Rotate(3), Rotate(1), Map(_inc), Rotate(2), Rotate(1), Map(_dbl),
+        Map(_inc)),
+    "unhashable-farm-env": compose_nodes(
+        Map(_inc), Farm(lambda env, x: x + env[0], np.array([5.0, 6.0])),
+        Map(_dbl), Map(_inc), Rotate(2), Rotate(-1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FIXED))
+@pytest.mark.parametrize("spec_name", sorted(SPECS))
+def test_memo_is_invisible_on_fixed_shapes(name, spec_name):
+    p, spec, topo = 8, SPECS[spec_name], Hypercube.of_size(8)
+    res = tune_expression(_FIXED[name], nprocs=p, spec=spec, topo=topo,
+                          beam=3)
+    assert res.explored > 1
+    _assert_memo_invisible(res, p, spec, topo)
+    if name == "unlowerable":
+        assert not res.original.lowerable
+        assert any(c.lowerable for c in res.frontier)
+
+
+def test_each_fetch_table_is_built_once_per_search():
+    """Work canary: the ``fetch`` index function runs ``p`` times per
+    distinct ``Fetch`` node in a search, not once per candidate.  Without
+    the scoring memo this search made 488 calls (61 candidates x p=8)."""
+    p, calls = 8, [0]
+
+    def src(r):
+        calls[0] += 1
+        return (r + 3) % p
+
+    def a(x):
+        return x + 1
+
+    def b(x):
+        return x * 2
+
+    def c(x):
+        return x - 3
+
+    expr = compose_nodes(Map(a), Map(b), Map(c), Map(a), Rotate(1), Map(a),
+                         Map(b), Fetch(src), Map(c), Map(a), Map(b),
+                         Rotate(2), Rotate(3))
+    res = tune_expression(expr, nprocs=p, spec=AP1000, beam=4)
+    assert res.explored == 61
+    assert calls[0] == p
+
+
+def test_concurrent_searches_equal_sequential_ones():
+    """Each search owns its memo: searches interleaved in three threads
+    (more than the cores CI has, with a short switch interval) return
+    exactly what they return one at a time."""
+    jobs = [
+        dict(expr=tuned_sort_pipeline(4), nprocs=16, spec=AP1000,
+             topo=Hypercube(4), beam=2),
+        dict(expr=_FIXED["split-combine-in-iterfor"], nprocs=8, spec=PERFECT,
+             topo=Ring(8), beam=3),
+        dict(expr=_FIXED["shared-route-instruction"], nprocs=8, spec=AP1000,
+             topo=FullyConnected(8), beam=1),
+    ]
+    want = [tune_expression(**job) for job in jobs]
+    got: list = [None] * len(jobs)
+    start = threading.Barrier(len(jobs))
+
+    def run(i):
+        start.wait()
+        got[i] = tune_expression(**jobs[i])
+
+    threads = [threading.Thread(target=run, args=(i,))
+               for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for g, w in zip(got, want):
+        assert g.frontier == w.frontier
+        assert g.best == w.best and g.explored == w.explored

@@ -8,7 +8,6 @@
     python -m repro ablations            # the four §4 transformation studies
     python -m repro baselines            # hyperquicksort vs bitonic sort
     python -m repro all                  # everything above
-    python -m repro perf                 # simulator-core performance suite
     python -m repro chaos                # fault-injection survival sweep
     python -m repro plan hyperquicksort  # dump a lowered plan + its costs
     python -m repro trace hyperquicksort # traced run: spans, critical path
@@ -19,14 +18,13 @@
 Each command prints the reproduced table to stdout; ``--spec`` switches the
 machine model (``ap1000`` / ``modern`` / ``perfect``).
 
-``perf``, ``chaos`` and ``plan`` are different from the rest: ``perf``
-measures *host* performance of the simulator itself (see
-:mod:`repro.perf`), ``chaos`` sweeps fault rates over the fault-tolerant
-apps (see :mod:`repro.faults.chaos`), ``plan`` dumps a lowered Plan-IR
-program with predicted-vs-simulated cost columns (see
-:mod:`repro.plan.cli`); each takes its own flags —
-``python -m repro perf --help`` / ``python -m repro chaos --help`` /
-``python -m repro plan --help``.
+``chaos`` and ``plan`` are different from the rest: ``chaos`` sweeps
+fault rates over the fault-tolerant apps (see :mod:`repro.faults.chaos`),
+``plan`` dumps a lowered Plan-IR program with predicted-vs-simulated cost
+columns (see :mod:`repro.plan.cli`); each takes its own flags —
+``python -m repro chaos --help`` / ``python -m repro plan --help``.
+Host-time performance of the whole pipeline is measured by the repository
+benchmark, ``python3 perfbench/run.py`` (see ``perfbench/README.md``).
 """
 
 from __future__ import annotations
@@ -176,13 +174,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Regenerate the evaluation of 'Parallel Skeletons for "
                     "Structured Composition' (PPoPP 1995).")
     parser.add_argument("command",
-                        choices=[*_COMMANDS, "all", "perf", "chaos", "plan",
+                        choices=[*_COMMANDS, "all", "chaos", "plan",
                                  "trace", "serve", "metrics"],
-                        help="which artefact to regenerate ('perf' runs the "
-                             "simulator performance suite, 'chaos' the "
+                        help="which artefact to regenerate ('chaos' runs the "
                              "fault-injection sweep, 'plan' dumps a lowered "
                              "Plan-IR program; see "
-                             "'python -m repro perf --help' / "
                              "'python -m repro chaos --help' / "
                              "'python -m repro plan --help')")
     parser.add_argument("-n", type=int, default=100_000,
@@ -200,14 +196,9 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     if argv is None:
         argv = sys.argv[1:]
-    if argv[:1] == ["perf"]:
-        # The perf suite has its own flag set (--quick/--output/...);
-        # delegate everything after the subcommand to repro.perf.
-        from repro import perf
-
-        return perf.main(argv[1:])
     if argv[:1] == ["chaos"]:
-        # Likewise the chaos harness (--app/--drop-rate/--crash/...).
+        # The chaos harness has its own flag set (--app/--drop-rate/...);
+        # delegate everything after the subcommand to it.
         from repro.faults import chaos
 
         return chaos.main(argv[1:])

@@ -101,6 +101,10 @@ class ParArray:
                 raise ConfigurationError(
                     f"indices do not cover shape {shape}: missing {missing}, "
                     f"extra {extra}")
+        if not shape:
+            # A 0-d grid has no processors to index: len() and iteration
+            # are undefined on it.
+            raise ConfigurationError(f"invalid ParArray shape {shape!r}")
         self._shape = tuple(shape)
         self._data = data
         #: Optional distribution metadata (the PartitionPattern that built

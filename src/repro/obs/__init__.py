@@ -12,7 +12,7 @@ traces:
   attribution,
 * :mod:`repro.obs.report` — the analyses as aligned text tables,
 * :mod:`repro.obs.latency` — request-latency quantiles and p50/p99/
-  throughput rollups (shared by :mod:`repro.serve` and the perf rows),
+  throughput rollups (shared by :mod:`repro.serve` and its CLI),
 * :mod:`repro.obs.metrics` — the *live* metrics plane: lock-cheap
   Counter/Gauge/Histogram registry, periodic snapshots (JSONL +
   Prometheus text exposition + ``repro.obs.metrics/v1`` artifact), and

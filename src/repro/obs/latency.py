@@ -3,8 +3,8 @@
 The skeleton service (:mod:`repro.serve`) records one completion record
 per request through the :class:`~repro.obs.sinks.TraceSink` protocol;
 this module turns lists of such records into the p50/p99/throughput
-summaries the service report, the ``repro serve`` JSON artifact and the
-``service_sustained`` perf rows all share.
+summaries the service report and the ``repro serve`` JSON artifact
+share.
 
 Quantiles use the *nearest-rank* method (no interpolation): ``p99`` of
 ``n`` samples is the ``ceil(0.99 · n)``-th smallest — the conventional

@@ -55,7 +55,8 @@ __all__ = [
 
 
 def _run_events(result: RunResult) -> int:
-    """Engine-invariant event count (sends + receives), as in repro.perf."""
+    """Engine-invariant event count: one per send plus one per receive,
+    so the figure is the same whichever engine timed the run."""
     return result.total_messages + sum(s.msgs_received for s in result.stats)
 
 
@@ -284,8 +285,8 @@ class Service:
     rejection counters, queue-depth and in-flight gauges, per-worker
     latency histograms, and plan-cache gauges.  When ``None`` (the
     default) no instrument is ever touched — the disabled path costs
-    nothing (the ``metrics_overhead`` rows in BENCH_simulator.json hold
-    it to that).
+    nothing (``tests/obs/test_metrics.py::TestDisabledPath`` holds it to
+    that).
 
     ``slo`` accepts a :class:`~repro.obs.metrics.SloMonitor`: completed
     request latencies feed its rolling window, and while the windowed

@@ -66,8 +66,8 @@ __all__ = [
 class StreamRunStats:
     """Counters for one stream execution (pass to ``run``/``run_seq``).
 
-    ``sim_events`` uses the engine-invariant definition of the perf
-    harness — one event per simulated send plus one per receive — summed
+    ``sim_events`` uses the engine-invariant definition of the service
+    — one event per simulated send plus one per receive — summed
     over every compiled chunk run; ``virtual_seconds`` sums the per-chunk
     makespans (chunks are independent machine runs, so this is total
     simulated compute, not a wall-clock claim).

@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import dataclasses
 import sys
-from typing import Sequence
+from typing import Any, Sequence
+
+import numpy as np
 
 from repro.machine.cost import MachineSpec, PERFECT
 from repro.plan.cost import ExprCost, plan_cost
@@ -154,6 +156,21 @@ def _resolve_topo(topo) -> tuple | None:
     return topology_signature(topo)
 
 
+def _structural_key(obj: Any) -> Any:
+    """A hashable stand-in for ``obj`` that is equal exactly when the
+    compared dataclass fields are: an ndarray becomes its dtype, shape
+    and bytes, tuples and lists are keyed element by element."""
+    if isinstance(obj, np.ndarray):
+        return (np.ndarray, obj.dtype.str, obj.shape, obj.tobytes())
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return (type(obj),) + tuple(_structural_key(getattr(obj, f.name))
+                                    for f in dataclasses.fields(obj)
+                                    if f.compare)
+    if isinstance(obj, (tuple, list)):
+        return (type(obj),) + tuple(_structural_key(x) for x in obj)
+    return obj
+
+
 def tune_expression(expr: N.Node, *, nprocs: int,
                     grid: tuple[int, int] | None = None,
                     spec: MachineSpec = PERFECT, topo=None,
@@ -196,15 +213,20 @@ def tune_expression(expr: N.Node, *, nprocs: int,
 
     seen: set = set()
 
-    def remember(e: N.Node) -> bool:
-        """True the first time ``e`` is seen (unhashable: always new)."""
+    def remember(e: Any) -> bool:
+        """True the first time ``e`` is seen.  An unhashable ``e`` (an
+        ndarray farm environment, say) is keyed structurally."""
         try:
-            if e in seen:
-                return False
-            seen.add(e)
+            fresh = e not in seen
         except TypeError:
-            pass
-        return True
+            e = _structural_key(e)
+            try:
+                fresh = e not in seen
+            except TypeError:
+                return True  # no structural key either: always new
+        if fresh:
+            seen.add(e)
+        return fresh
 
     cost, lowerable = score(expr)
     original = Candidate(expr, cost, lowerable, (), 0, expr_size(expr))

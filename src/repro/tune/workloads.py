@@ -26,7 +26,8 @@ differently:
 
 On a single-port machine (the contention model the ``msg × degree``
 exchange pricing assumes) the declined funnel is a real simulated win:
-``speedup_vs_greedy`` in BENCH_simulator.json tracks it.
+``python -m repro plan hyperquicksort --search`` reports it as
+``speedup_vs_greedy``.
 """
 
 from __future__ import annotations
@@ -116,8 +117,8 @@ def run_tuned_hyperquicksort(values, d: int, *,
     predicted and simulated rankings describe the same machine.
 
     The search path goes through :func:`repro.plan.lower.tuned_lower`,
-    so repeated runs (the perf harness) pay the beam search once and
-    then hit the tuned-plan cache tier.
+    so repeated runs pay the beam search once and then hit the
+    tuned-plan cache tier.
     """
     from repro.apps.sort import seq_quicksort
     from repro.core import Block, parmap, partition

@@ -96,6 +96,7 @@ class TestConstructionMessages:
          "extra []"),
         (lambda: ParArray({"a": 1}, shape=(1,)),
          "invalid ParArray index 'a'"),
+        (lambda: ParArray({(): 5}, shape=()), "invalid ParArray shape ()"),
     ])
     def test_error_messages_are_exact(self, build, message):
         with pytest.raises(ConfigurationError) as err:

@@ -13,6 +13,8 @@ crash-fault runs and desynchronised (non-yielding) programs.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.errors import DeadlockError, MachineError
@@ -308,3 +310,32 @@ class TestBatchedFlushPaths:
         res = _paired(program, lambda: FullyConnected(4))
         assert res.values[0] == 3 * sum(range(40))
         assert res.engine == "batch"
+
+
+class TestLargeRingScaling:
+    def test_ring_sweep_at_p4096_stays_on_the_batched_engine(self):
+        """Every rank computes, sends right and receives left, 30 times.
+        A silent restart on the per-event engine (~13 s) shows as
+        ``engine``; a complexity regression inside the batched engine
+        trips the generous ceiling (the run takes ~0.7 s on a 2-CPU
+        host)."""
+        p, rounds = 4096, 30
+
+        def program(env):
+            right = (env.pid + 1) % env.nprocs
+            left = (env.pid - 1) % env.nprocs
+            for r in range(rounds):
+                yield env.work(ops=50)
+                yield env.send(right, r, tag=1, nbytes=64)
+                yield env.recv(left, tag=1)
+            return None
+
+        machine = Machine(Ring(p), spec=AP1000)
+        start = time.perf_counter()
+        res = machine.run(program)
+        elapsed = time.perf_counter() - start
+        assert res.engine == "batch"
+        assert res.total_messages + sum(s.msgs_received
+                                        for s in res.stats) == 2 * p * rounds
+        assert res.events == 3 * p * rounds  # computes, sends, receives
+        assert elapsed < 5.0

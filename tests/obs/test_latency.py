@@ -2,7 +2,7 @@
 
 The nearest-rank quantile is the number every SLO decision in the
 metrics plane hangs off (:class:`repro.obs.metrics.SloMonitor`,
-the serve report, the perf rows), so its edge cases are pinned as
+the serve report and its JSON artifact), so its edge cases are pinned as
 properties over random samples: membership, rank bounds at ``q`` of
 0/1, monotonicity in ``q``, and the skip-don't-crash contract of
 :func:`repro.obs.latency.rollup_by` on records with missing keys.

@@ -333,7 +333,77 @@ class TestDashboardCli:
         assert "# TYPE serve_requests_total counter" in out
 
 
+class TestDisabledPath:
+    def test_metrics_off_makes_no_registry_call(self, monkeypatch):
+        """Metrics off costs nothing: with ``Service(metrics=None)`` no
+        instrument, label child, registry or SLO window is touched while
+        the default mix is served, nor by a chunked stream run."""
+        import operator
+
+        import numpy as np
+
+        from repro.obs import metrics as m
+        from repro.scl.nodes import Scan
+        from repro.serve.cli import build_service, default_mix
+        from repro.serve.loadgen import closed_loop
+        from repro.stream.plan import StreamRunStats, stream_plan
+
+        calls = []
+
+        def tripwire(name):
+            def boom(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} called with metrics off")
+            return boom
+
+        for cls, names in [
+                (m.Counter, ("inc",)),
+                (m.Gauge, ("set", "inc", "dec", "set_function")),
+                (m.Histogram, ("observe",)),
+                (m._Family, ("labels",)),
+                (m.MetricsRegistry, ("counter", "gauge", "histogram")),
+                (m.SloMonitor, ("observe",))]:
+            for name in names:
+                monkeypatch.setattr(cls, name,
+                                    tripwire(f"{cls.__name__}.{name}"))
+
+        with build_service(metrics=None) as svc:
+            report = closed_loop(svc, default_mix(), requests=50,
+                                 concurrency=4, timeout=30.0)
+        assert report["ok"] == 50
+        assert {r["endpoint"] for r in svc.completions} >= {"stream-scan"}
+
+        xs = [float(v) for v in range(1, 65)]
+        stats = StreamRunStats()
+        out = list(stream_plan(xs).chunk(8).map_plan(Scan(operator.add))
+                   .unchunk().run(stats=stats))
+        assert np.allclose(out, np.concatenate(
+            [np.cumsum(xs[i:i + 8]) for i in range(0, 64, 8)]))
+        assert stats.plan_runs == stats.chunks == 8
+        assert calls == []
+
+
 class TestIntegrations:
+    def test_live_metrics_serve_the_identical_workload(self):
+        """A live registry and an SLO monitor that never sheds change no
+        simulated work: the seeded closed loop runs the same events with
+        metrics on as off, and the registry counts every request."""
+        from repro.serve.cli import build_service, default_mix
+        from repro.serve.loadgen import closed_loop
+
+        def serve(**kw):
+            with build_service(nprocs=16, **kw) as svc:
+                report = closed_loop(svc, default_mix(), requests=60,
+                                     concurrency=8)
+            assert report["ok"] == 60
+            return sum(r["events"] for r in svc.completions)
+
+        reg = MetricsRegistry()
+        on = serve(metrics=reg, slo=SloMonitor(1e6, min_samples=8))
+        assert on == serve()
+        assert sum(s["value"] for s in reg.snapshot().series
+                   if s["name"] == "serve_requests_total") == 60
+
     def test_plan_cache_gauges_track_stats(self):
         from repro.plan.lower import plan_cache_stats
 

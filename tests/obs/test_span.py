@@ -150,6 +150,26 @@ class TestCompiledAttribution:
         res = lossy.run(program)
         assert np.array_equal(np.concatenate(res.values), np.sort(values))
 
+    def test_untraced_scripted_run_builds_no_spans(self, monkeypatch):
+        # The production path, a compiled run scripted by vexec and timed
+        # by the script timer, must not build titles, spans or events.
+        from repro.apps.sort import hyperquicksort_compiled
+        from repro.machine.simulator import ProcEnv
+        from repro.machine.trace import TraceEvent
+        from repro.plan import ir
+
+        def boom(*args, **kwargs):
+            raise AssertionError("trace machinery touched on an untraced run")
+
+        monkeypatch.setattr(ir, "instr_title", boom)
+        monkeypatch.setattr(ProcEnv, "span", boom)
+        monkeypatch.setattr(TraceEvent, "__post_init__", boom)
+        values = np.random.default_rng(7).integers(0, 2**31, size=4096)
+        out, res = hyperquicksort_compiled(values, 4)
+        assert np.array_equal(out, np.sort(values))
+        assert res.engine == "script"
+        assert res.plane == "vexec"
+
     @pytest.mark.parametrize("interp", ["raw", "ft"])
     def test_tracing_identical_virtual_results(self, interp):
         # Tracing is a branch inside the one plan walk: span bookkeeping

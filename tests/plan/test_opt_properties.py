@@ -11,8 +11,9 @@ generated expressions and a sweep of machine shapes:
 3. **Predicted cost never worse** — ``plan_cost`` of the optimized plan
    is bounded by the raw plan's on the spec the passes priced with.
 
-Plus the two deterministic application anchors the perf harness tracks:
-compiled hyperquicksort and the gauss-jordan solver.
+Plus the two deterministic application anchors: compiled hyperquicksort
+and the gauss-jordan solver, where at fixed sizes the optimized run's
+makespan and message count equal the unoptimized run's exactly.
 """
 
 from __future__ import annotations
@@ -174,3 +175,32 @@ class TestApplicationAnchors:
         assert np.array_equal(got, want)  # exact, not allclose
         assert res_opt.total_messages <= res_off.total_messages
         assert res_opt.makespan <= res_off.makespan * SLACK
+
+    @pytest.mark.parametrize("d", [5, 6])
+    def test_hyperquicksort_simulated_run_is_unchanged_by_opt(self, d):
+        # The optimizer must not change the simulated run at all here:
+        # same makespan to the bit, same message count.
+        from repro.apps.sort import hyperquicksort_compiled
+
+        vals = np.random.default_rng(19950701).integers(
+            0, 2**31, size=20_000).astype(np.int32)
+        want, res_off = hyperquicksort_compiled(vals, d, opt="off")
+        got, res_opt = hyperquicksort_compiled(vals, d)
+        assert np.array_equal(got, np.sort(vals))
+        assert np.array_equal(got, want)
+        assert res_opt.makespan == res_off.makespan
+        assert res_opt.total_messages == res_off.total_messages
+
+    def test_gauss_jordan_simulated_run_is_unchanged_by_opt(self):
+        from repro.apps.linalg import gauss_jordan_compiled
+
+        n, p = 24, 8
+        rng = np.random.default_rng(19950701)
+        A = rng.normal(size=(n, n)) + n * np.eye(n)
+        b = rng.normal(size=n)
+        want, res_off = gauss_jordan_compiled(A, b, p, opt="off")
+        got, res_opt = gauss_jordan_compiled(A, b, p)
+        assert np.allclose(A @ got, b)
+        assert np.array_equal(got, want)
+        assert res_opt.makespan == res_off.makespan
+        assert res_opt.total_messages == res_off.total_messages

@@ -333,6 +333,24 @@ def test_each_fetch_table_is_built_once_per_search():
     assert calls[0] == p
 
 
+def _add_env(env, x):
+    return x + env[0]
+
+
+@pytest.mark.parametrize("env", [np.array([5.0, 6.0]), (5.0, 6.0)],
+                         ids=["ndarray", "tuple"])
+def test_unhashable_candidates_are_deduplicated(env):
+    """The ``unhashable-farm-env`` chain explores the same candidates
+    whether its farm environment is an ndarray (unhashable, keyed by
+    dtype, shape and bytes) or a tuple: duplicates are not re-scored."""
+    expr = compose_nodes(Map(_inc), Farm(_add_env, env), Map(_dbl),
+                         Map(_inc), Rotate(2), Rotate(-1))
+    res = tune_expression(expr, nprocs=8, spec=PERFECT, beam=3)
+    assert res.explored == 4
+    assert [s.rule for s in res.best.steps] == ["map-fusion",
+                                                "rotate-fusion"]
+
+
 def test_concurrent_searches_equal_sequential_ones():
     """Each search owns its memo: searches interleaved in three threads
     (more than the cores CI has, with a short switch interval) return

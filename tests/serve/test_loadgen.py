@@ -82,6 +82,48 @@ class TestClosedLoop:
             closed_loop(svc, [], requests=1, concurrency=1)
 
 
+class TestSustainedDefaultMix:
+    """Closed-loop load on the default registry: the serving path stays
+    on cached plans and its simulated work is deterministic."""
+
+    @staticmethod
+    def _serve_default_mix():
+        from repro.serve.cli import build_service, default_mix
+
+        with build_service() as svc:
+            first = closed_loop(svc, default_mix(), requests=50,
+                                concurrency=4)
+            warm = svc.cache_stats()
+            rest = closed_loop(svc, default_mix(), requests=150,
+                               concurrency=4, seed=1)
+            steady = svc.cache_stats()
+        return svc, (first, rest), warm, steady
+
+    def test_steady_state_serves_from_the_plan_cache(self):
+        _svc, reports, warm, steady = self._serve_default_mix()
+        for report in reports:
+            assert report["errors"] == 0
+            assert report["rejected"] == 0
+        # Requests 50..200 lower nothing: every plan comes from a cache
+        # tier, and each of those 150 requests takes at least one hit.
+        assert steady["misses"] == warm["misses"]
+        assert steady["tuned_misses"] == warm["tuned_misses"]
+        assert steady["hits"] - warm["hits"] >= 150
+
+    def test_simulated_work_is_deterministic(self):
+        """Workload content is seeded per request index, so the total
+        simulated events must not depend on thread interleaving."""
+        totals = []
+        for _ in range(2):
+            svc, _reports, _warm, _steady = self._serve_default_mix()
+            completions = list(svc.completions)
+            assert len(completions) == 200
+            totals.append((sum(r["events"] for r in completions),
+                           sum(r["virtual_seconds"] for r in completions)))
+        assert totals[0][0] == totals[1][0]
+        assert totals[0][1] == pytest.approx(totals[1][1])
+
+
 class TestOpenLoop:
     def test_sheds_when_offered_exceeds_capacity(self):
         svc = Service(workers=1, max_queue=2)

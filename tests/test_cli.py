@@ -24,6 +24,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bogus"])
 
+    def test_perf_is_not_a_command(self, capsys):
+        # host performance lives in perfbench/, not in this CLI
+        with pytest.raises(SystemExit) as exc:
+            main(["perf"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'perf'" in capsys.readouterr().err
+
     def test_spec_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table1", "--spec", "cray"])
